@@ -20,6 +20,7 @@ import numpy as np
 
 from .basis import LAGUERRE_FUNCTIONS, BasisSpec
 from .dg import DGOperator, DGState, Mesh1D, edge_values, project_dg, trace_at_right
+from .quadrature import QuadratureRule
 from .semiinf import (
     HyperbolicSystem,
     LaguerreModalOperator,
@@ -128,11 +129,12 @@ class CoupledModel:
     left_bc, when given, is a callable t -> (values, mask) describing the
     Dirichlet data at z = 0; mask marks the prescribed physical
     components.  Damping belongs to the semi-infinite system only; the
-    finite domain always runs undamped.
+    finite domain always runs undamped.  rule, when given, is the GLR rule
+    of spec; the modal operator and the initial projection share it.
     """
 
     def __init__(self, cfg: SWEConfig, mesh: Mesh1D, p: int, spec: BasisSpec,
-                 left_bc: Callable | None = None):
+                 left_bc: Callable | None = None, rule: QuadratureRule | None = None):
         if spec.kind != LAGUERRE_FUNCTIONS:
             raise ValueError("coupling requires the Laguerre function basis outside")
         self.cfg = cfg
@@ -143,7 +145,7 @@ class CoupledModel:
         self.sys_dg = swe_system(replace(cfg, damping=None))
         self.sys_semi = swe_system(cfg)
         self.dg_op = DGOperator(self.sys_dg, mesh, p)
-        self.semi_op = LaguerreModalOperator(self.sys_semi, spec)
+        self.semi_op = LaguerreModalOperator(self.sys_semi, spec, rule)
         self.d = 2
         self._n_dg = mesh.n_elements * self.d * (p + 1)
         self._dg_shape = (mesh.n_elements, self.d, p + 1)
@@ -176,7 +178,7 @@ class CoupledModel:
         L = self.mesh.length
         dg = project_dg([h_fun, u_fun], self.mesh, self.p)
         semi = project_semi([lambda z: h_fun(z + L), lambda z: u_fun(z + L)],
-                            self.spec, origin_shift=L)
+                            self.spec, self.semi_op.rule, origin_shift=L)
         return CoupledState(dg, semi, 0.0)
 
     def max_speed(self) -> float:

@@ -38,10 +38,6 @@ class Mesh1D:
     def centers(self) -> np.ndarray:
         return (np.arange(self.n_elements) + 0.5) * self.dz
 
-    @property
-    def sizes(self) -> np.ndarray:
-        return np.full(self.n_elements, self.dz)
-
 
 @dataclass(eq=False)
 class DGState:
@@ -119,7 +115,15 @@ def characteristic_ghost(eig_triple, q_interior: np.ndarray,
 
 
 class DGOperator:
-    """Prepared DG right-hand side for a constant-coefficient system."""
+    """Prepared DG right-hand side for a constant-coefficient system.
+
+    The interior operator is block tridiagonal over elements and is built
+    once: a diagonal block (volume term, both own-edge fluxes and, when
+    coeff_b is set, the per-element reaction term), a lower block (A+
+    inflow from the left neighbour) and an upper block (A- inflow from
+    the right neighbour), each acting on an element's flattened (d, p+1)
+    coefficients.  Only the two boundary ghost states are formed per call.
+    """
 
     def __init__(self, sys: HyperbolicSystem, mesh: Mesh1D, p: int):
         if not sys.is_constant:
@@ -127,45 +131,42 @@ class DGOperator:
         self.sys = sys
         self.mesh = mesh
         self.p = p
-        self.a = np.asarray(sys.coeff_a(None, 0.0), dtype=float)
+        a = np.asarray(sys.coeff_a(None, 0.0), dtype=float)
         self.eig = sys.eig(None, 0.0)
-        self.a_plus, self.a_minus = flux_split(self.a, self.eig)
-        self.S = stiffness_coupling(p)
+        self.a_plus, self.a_minus = flux_split(a, self.eig)
         self.e_left, self.e_right = edge_values(p)
+        ap, am, el, er = self.a_plus, self.a_minus, self.e_left, self.e_right
+        diag = (np.kron(a, stiffness_coupling(p)) - np.kron(ap, np.outer(er, er))
+                + np.kron(am, np.outer(el, el)))
         if sys.coeff_b is not None:
             xi, wq = gauss_legendre(p + 2)
             phi = np.array([[np.sqrt(2 * l + 1) * legendre_eval(l, x) for x in xi] for l in range(p + 1)])
             zq = mesh.centers[:, None] + 0.5 * mesh.dz * xi[None, :]
             bq = np.array([[np.asarray(sys.coeff_b(None, z), dtype=float) for z in row] for row in zq])
-            # b_op[m, i, j, k, l]: reaction term contracted with quadrature
-            self.b_quad = (bq, phi, wq)
-        else:
-            self.b_quad = None
+            reaction = 0.5 * mesh.dz * np.einsum("mgkl,ig,jg,g->mkilj", bq, phi, phi, wq)
+            diag = diag + reaction.reshape(mesh.n_elements, *diag.shape)
+        self.diag = diag / mesh.dz
+        self.lower = np.kron(ap, np.outer(el, er)) / mesh.dz
+        self.upper = -np.kron(am, np.outer(er, el)) / mesh.dz
 
     def rhs(self, coeffs: np.ndarray, t: float,
             left_values: np.ndarray | None, left_mask: np.ndarray | None,
             right_exterior: np.ndarray | None) -> np.ndarray:
-        mesh, p = self.mesh, self.p
-        n = mesh.n_elements
-        q_right = coeffs @ self.e_right  # (n, d) trace at each right edge
-        q_left = coeffs @ self.e_left
+        n, d, P = coeffs.shape
+        c = coeffs.reshape(n, d * P)
+        if self.diag.ndim == 2:
+            out = c @ self.diag.T
+        else:
+            out = np.matmul(self.diag, c[:, :, None])[:, :, 0]
+        out[1:] += c[:-1] @ self.lower.T
+        out[:-1] += c[1:] @ self.upper.T
 
-        ghost_left = characteristic_ghost(self.eig, q_left[0], left_values, left_mask)
-        ghost_right = right_exterior if right_exterior is not None else q_right[-1]
-
-        qm = np.vstack([ghost_left[None, :], q_right])   # (n+1, d) upstream side
-        qp = np.vstack([q_left, ghost_right[None, :]])   # (n+1, d) downstream side
-        flux = qm @ self.a_plus.T + qp @ self.a_minus.T
-
-        aq = np.einsum("kl,mlj->mkj", self.a, coeffs)
-        vol = np.einsum("ij,mkj->mki", self.S, aq)
-        out = vol - flux[1:, :, None] * self.e_right + flux[:-1, :, None] * self.e_left
-        if self.b_quad is not None:
-            bq, phi, wq = self.b_quad
-            qvals = np.einsum("mkj,jg->mkg", coeffs, phi)
-            bqv = np.einsum("mgkl,mlg->mkg", bq, qvals)
-            out += 0.5 * mesh.dz * np.einsum("mkg,ig,g->mki", bqv, phi, wq)
-        return out / mesh.dz
+        ghost_left = characteristic_ghost(self.eig, coeffs[0] @ self.e_left, left_values, left_mask)
+        ghost_right = right_exterior if right_exterior is not None else coeffs[-1] @ self.e_right
+        dz = self.mesh.dz
+        out[0] += np.outer(self.a_plus @ ghost_left, self.e_left).ravel() / dz
+        out[-1] -= np.outer(self.a_minus @ ghost_right, self.e_right).ravel() / dz
+        return out.reshape(n, d, P)
 
 
 def dg_rhs(sys: HyperbolicSystem, mesh: Mesh1D, state: DGState, t: float,

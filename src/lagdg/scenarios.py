@@ -28,7 +28,7 @@ from .coupled import (
 from .dg import DGOperator, DGState, Mesh1D, edge_values, eval_at_centers, project_dg
 from .diagnostics import energy_error, error_norms, reflection_ratio
 from .quadrature import build_rule
-from .semiinf import HyperbolicSystem, default_rule
+from .semiinf import HyperbolicSystem, default_rule, reconstruct
 from .spectrum import classify
 
 FLOAT_FORMAT = "%.8e"
@@ -187,9 +187,7 @@ def _snapshot_csv(outdir: Path, name: str, model: CoupledModel, y: np.ndarray) -
     centers = model.mesh.centers
     vals = eval_at_centers(state.dg)
     rows = [(x, vals[i, 0], vals[i, 1]) for i, x in enumerate(centers)]
-    rule = default_rule(model.spec)
-    from .semiinf import reconstruct
-
+    rule = model.semi_op.rule
     semi_vals = reconstruct(state.semi, rule.nodes)
     rows += [(model.mesh.length + z, semi_vals[0, i], semi_vals[1, i]) for i, z in enumerate(rule.nodes)]
     write_csv(outdir / name, ["x", "h", "u"], rows)
@@ -281,7 +279,8 @@ def _wavetrain_row(cfg: dict, amplitude: float, outdir: Path) -> dict:
     c = float(np.sqrt(cfg["grav"] * cfg["H"]))
     mesh = Mesh1D(cfg["L"], int(cfg["nx"]))
     spec = BasisSpec("functions", float(cfg["beta"]), int(cfg["semi_nodes"]) - 1)
-    layer = default_rule(spec).nodes[-1]
+    rule = default_rule(spec)
+    layer = rule.nodes[-1]
     damping = SigmoidDamping(dgamma=cfg["dgamma"], L0=layer, alpha=cfg["alpha"],
                              sigma=cfg["sigma_over_l0"] * layer)
     swe = SWEConfig(H=cfg["H"], U=cfg["U"], grav=cfg["grav"], damping=damping)
@@ -297,7 +296,7 @@ def _wavetrain_row(cfg: dict, amplitude: float, outdir: Path) -> dict:
     n_steps = int(np.ceil(cfg["T"] / dt))
     dt = cfg["T"] / n_steps
 
-    model = CoupledModel(swe, mesh, int(cfg["p"]), spec, left_bc=left_bc)
+    model = CoupledModel(swe, mesh, int(cfg["p"]), spec, left_bc=left_bc, rule=rule)
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     y0 = model.pack(model.initial_state(zero, zero))
 
@@ -358,7 +357,8 @@ def _absorption_row(cfg: dict, row, outdir: Path) -> dict:
     dt = T / steps
     mesh = Mesh1D(cfg["D"], nx)
     spec = BasisSpec("functions", beta, semi_nodes - 1)
-    layer = default_rule(spec).nodes[-1]
+    rule = default_rule(spec)
+    layer = rule.nodes[-1]
     damping = SigmoidDamping(dgamma=cfg["dgamma"], L0=layer, alpha=cfg["alpha"],
                              sigma=cfg["sigma_over_l0"] * layer)
     swe_damped = SWEConfig(H=cfg["H"], U=cfg["U"], grav=cfg["grav"], damping=damping)
@@ -367,7 +367,7 @@ def _absorption_row(cfg: dict, row, outdir: Path) -> dict:
     h_fun = _gaussian(cfg["h1"], cfg["x0"], cfg["sigma"])
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
 
-    model = CoupledModel(swe_damped, mesh, int(cfg["p"]), spec)
+    model = CoupledModel(swe_damped, mesh, int(cfg["p"]), spec, rule=rule)
     y0 = model.pack(model.initial_state(h_fun, zero))
 
     wall = DGOnlyModel(swe_plain, mesh, int(cfg["p"]), reflect_right=True)

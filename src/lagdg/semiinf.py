@@ -109,10 +109,11 @@ def reconstruct(state: ModalState, z_points) -> np.ndarray:
 class LaguerreModalOperator:
     """Prepared right-hand side of the modal semi-discretization.
 
-    Precomputes the boundary flux splitting and (when coefficients vary)
-    the GLR-quadrature coefficient matrices, so the per-step cost is a few
-    dense products.  Boundary data g(t) enters through A+ evaluated at the
-    local origin; the outgoing trace feeds back through A-.
+    Builds the interior operator once as one (d(M+1), d(M+1)) matrix K over
+    the flattened coefficients: -beta a0 (x) T for constant coefficients,
+    the GLR-quadrature coefficient integrals otherwise, plus the projected
+    reaction term when B is set.  Boundary data g(t) enters through A+
+    evaluated at the local origin; the outgoing trace feeds back through A-.
     """
 
     def __init__(self, sys: HyperbolicSystem, spec: BasisSpec,
@@ -122,30 +123,28 @@ class LaguerreModalOperator:
         self.sys = sys
         self.spec = spec
         self.rule = rule if rule is not None else default_rule(spec)
-        beta, M = spec.beta, spec.M
+        beta, M, d = spec.beta, spec.M, sys.d
+        n = d * (M + 1)
 
         a0 = np.asarray(sys.coeff_a(None, 0.0), dtype=float)
-        if a0.shape != (sys.d, sys.d):
+        if a0.shape != (d, d):
             raise ValueError("coeff_a must return a (d, d) matrix")
         self.a_plus, self.a_minus = flux_split(a0, sys.eig(None, 0.0))
-        self.a0 = a0
 
         phi = basis_values_at_nodes(spec, self.rule)
         w = self.rule.weights
         z = self.rule.nodes
 
-        if sys.coeff_b is not None:
-            bvals = np.array([np.asarray(sys.coeff_b(None, zz), dtype=float) for zz in z])
-            self.b_proj = np.einsum("nkl,in,jn->klij", bvals * w[:, None, None], phi, phi)
-        else:
-            self.b_proj = None
+        def projected(vals):
+            """K-shaped matrix of sum_n w_n vals_n[k, l] Lhat_i(z_n) Lhat_j(z_n)."""
+            return np.einsum("nkl,in,jn->kilj", vals * w[:, None, None], phi, phi).reshape(n, n)
 
+        T = np.tril(np.ones((M + 1, M + 1)), -1)  # advective mode coupling: strictly
+        np.fill_diagonal(T, 0.5)                  # lower ones, 1/2 on the diagonal
         if sys.is_constant:
-            self.a_proj = None
-            self.da_proj = None
+            K = np.kron(-beta * a0, T)
         else:
             avals = np.array([np.asarray(sys.coeff_a(None, zz), dtype=float) for zz in z])
-            self.a_proj = np.einsum("nkl,in,jn->klij", avals * w[:, None, None], phi, phi)
             if sys.coeff_a_dz is not None:
                 davals = np.array([np.asarray(sys.coeff_a_dz(None, zz), dtype=float) for zz in z])
             else:
@@ -156,27 +155,17 @@ class LaguerreModalOperator:
                     / (h + min(zz, h))
                     for zz in z
                 ])
-            self.da_proj = np.einsum("nkl,in,jn->klij", davals * w[:, None, None], phi, phi)
+            K = -beta**2 * (np.kron(np.eye(d), T) @ projected(avals)) + beta * projected(davals)
+        if sys.coeff_b is not None:
+            bvals = np.array([np.asarray(sys.coeff_b(None, zz), dtype=float) for zz in z])
+            K += beta * projected(bvals)
+        self.K = K
 
     def rhs(self, coeffs: np.ndarray, t: float, boundary_g: np.ndarray) -> np.ndarray:
         """Time derivative of the (d, M+1) coefficient array."""
-        beta = self.spec.beta
-        boundary_g = np.asarray(boundary_g, dtype=float)
-        total = coeffs.sum(axis=1)
-        bc = self.a_plus @ boundary_g + self.a_minus @ total
-
-        if self.sys.is_constant:
-            prefix = np.cumsum(coeffs, axis=1) - coeffs
-            adv = self.a0 @ (0.5 * coeffs + prefix)
-            out = beta * (bc[:, None] - adv)
-        else:
-            work = np.einsum("klij,lj->kli", self.a_proj, coeffs)
-            wsum = work.sum(axis=1)
-            wpre = np.cumsum(wsum, axis=1) - wsum
-            out = beta * (bc[:, None] - 0.5 * beta * wsum - beta * wpre)
-            out += beta * np.einsum("klij,lj->ki", self.da_proj, coeffs)
-        if self.b_proj is not None:
-            out += beta * np.einsum("klij,lj->ki", self.b_proj, coeffs)
+        bc = self.a_plus @ np.asarray(boundary_g, dtype=float) + self.a_minus @ coeffs.sum(axis=1)
+        out = (self.K @ coeffs.ravel()).reshape(coeffs.shape)
+        out += self.spec.beta * bc[:, None]
         return out
 
 

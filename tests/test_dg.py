@@ -15,7 +15,7 @@ from lagdg.dg import (
     trace_at_right,
 )
 from lagdg.scenarios import dg_advection_error, _advection_system
-from lagdg.semiinf import flux_split
+from lagdg.semiinf import HyperbolicSystem, flux_split
 
 
 class TestProjection:
@@ -99,6 +99,20 @@ class TestRhs:
         lhs = op.rhs(3.0 * a + b, 0.0, zero, mask, None)
         rhs = 3.0 * op.rhs(a, 0.0, zero, mask, None) + op.rhs(b, 0.0, zero, mask, None)
         assert lhs == pytest.approx(rhs, abs=1e-12)
+
+    @pytest.mark.parametrize("p", [0, 1, 3])
+    def test_constant_reaction_is_minus_gamma_times_state(self, p):
+        # b = -gamma I: the (p+2)-point rule integrates phi_i phi_j exactly,
+        # so the reaction block adds exactly -gamma c to the derivative
+        gamma = 0.37
+        base = swe_system(SWEConfig(U=0.4))
+        damped = HyperbolicSystem(d=2, coeff_a=base.coeff_a, eig=base.eig, is_constant=True,
+                                  coeff_b=lambda q, z: -gamma * np.eye(2))
+        mesh = Mesh1D(30.0, 7)
+        q = np.random.default_rng(p).normal(size=(7, 2, p + 1))
+        args = (0.0, np.array([0.0, 0.2]), np.array([False, True]), None)
+        diff = DGOperator(damped, mesh, p).rhs(q, *args) - DGOperator(base, mesh, p).rhs(q, *args)
+        assert np.max(np.abs(diff + gamma * q)) <= 1e-13 * gamma * np.max(np.abs(q))
 
     def test_convergence_order_two(self):
         errs = [dg_advection_error(1.0, 1, nx, 0.5, 0.1) for nx in (50, 100, 200)]
