@@ -22,6 +22,7 @@ from .basis import LAGUERRE_FUNCTIONS, LAGUERRE_POLYNOMIALS
 from .quadrature import (
     NODES_GL,
     NODES_GLR,
+    QuadratureRule,
     build_diff_matrix,
     build_rule,
     cardinal_values_at_origin,
@@ -129,14 +130,14 @@ def _strong_operator(variant: SchemeVariant, beta: float, M: int, u: float) -> S
     return SemiDiscreteOperator(-u * D, np.zeros(M + 1), dof_offset=0)
 
 
-def _nodal_weights(variant: SchemeVariant, beta: float, M: int) -> np.ndarray:
+def _nodal_weights(rule: QuadratureRule) -> np.ndarray:
     # GL rules keep the classical weights for both bases: conjugating the
     # function-basis operators with the exp(z)-absorbed weights instead
     # would suppress the violent outflow spectra these rules actually
     # exhibit, which is the finding the GL variants exist to demonstrate.
-    if variant.node_kind == NODES_GL:
-        return build_rule(NODES_GL, LAGUERRE_POLYNOMIALS, beta, M).weights
-    return build_rule(NODES_GLR, variant.basis_kind, beta, M).weights
+    if rule.node_kind == NODES_GL and rule.basis_kind == LAGUERRE_FUNCTIONS:
+        return build_rule(NODES_GL, LAGUERRE_POLYNOMIALS, rule.beta, rule.M).weights
+    return rule.weights
 
 
 # Exact spectra of the GLR polynomial-basis operators.
@@ -171,7 +172,7 @@ def _glr_poly_block_spectrum(beta: float, M: int) -> np.ndarray:
 def _nodal_operator(variant: SchemeVariant, beta: float, M: int, u: float) -> SemiDiscreteOperator:
     rule = build_rule(variant.node_kind, variant.basis_kind, beta, M)
     D = build_diff_matrix(rule).entries
-    w = _nodal_weights(variant, beta, M)
+    w = _nodal_weights(rule)
     poly = variant.basis_kind == LAGUERRE_POLYNOMIALS
     n = M + 1
 

@@ -28,7 +28,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--output", default="out", help="output directory")
     run_p.add_argument("--override", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config key (repeatable)")
-    run_p.add_argument("--jobs", type=int, default=1, help="worker threads for independent rows")
 
     spec_p = sub.add_parser("spectrum", help="eigenvalues of one discretization variant")
     spec_p.add_argument("--form", required=True, choices=["strong", "nodal", "modal"])
@@ -78,7 +77,7 @@ def main(argv=None) -> int:
             cfg = _apply_overrides(cfg, args.override)
             if "scenario" not in cfg:
                 raise ConfigError("config file must set 'scenario'")
-            summary = run_scenario(cfg, args.output, jobs=args.jobs)
+            summary = run_scenario(cfg, args.output)
             print(json.dumps({"scenario": cfg["scenario"], "output": str(args.output),
                               "summary_keys": sorted(summary)}, sort_keys=True))
         elif args.command == "spectrum":

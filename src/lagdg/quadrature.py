@@ -88,44 +88,42 @@ def _glr_unit(M: int) -> np.ndarray:
     Each zero is bracketed by consecutive zeros of L_{M+1} and polished
     with Newton steps (bisection fallback keeps the iterate inside the
     bracket).  L'' comes from the Laguerre ODE x y'' = (x-1) y' - n y.
+    All brackets iterate together, one recurrence pass over the nodes
+    still active; a node leaves once its own step passes the tolerance.
+    The arithmetic is elementwise, so every node is bit-identical to a
+    node-by-node solve with the same steps.
     """
     n = M + 1
     gl_nodes, _ = _gl_unit(n)
 
     def dval(x):
-        tab = laguerre_poly_table(n, np.asarray(x))
+        tab = laguerre_poly_table(n, x)
         d = n * (tab[n] - tab[n - 1]) / x
         dd = ((x - 1.0) * d - n * tab[n]) / x
         return d, dd
 
+    lo, hi = gl_nodes[:-1], gl_nodes[1:]
+    sign_lo = np.sign(dval(lo)[0])
+    x = 0.5 * (lo + hi)
     roots = np.empty(M)
-    for k in range(M):
-        lo, hi = gl_nodes[k], gl_nodes[k + 1]
-        flo, _ = dval(lo)
-        x = 0.5 * (lo + hi)
-        converged = False
-        for _ in range(_NEWTON_MAXIT):
-            f, fp = dval(x)
-            if np.sign(f) == np.sign(flo):
-                lo = x
-            else:
-                hi = x
-            step = f / fp
-            x_new = x - step
-            if not lo < x_new < hi:
-                x_new = 0.5 * (lo + hi)
-            if abs(x_new - x) <= _NEWTON_TOL * max(abs(x), 1.0):
-                x = x_new
-                converged = True
-                break
-            x = x_new
-        if not converged:
-            raise RuntimeError(
-                f"GLR node {k} did not converge for M={M}: "
-                f"bracket [{lo}, {hi}], residual {dval(x)[0]:.3e}"
-            )
-        roots[k] = x
-    return roots
+    active = np.arange(M)
+    for _ in range(_NEWTON_MAXIT):
+        f, fp = dval(x)
+        same = np.sign(f) == sign_lo
+        lo = np.where(same, x, lo)
+        hi = np.where(same, hi, x)
+        x_new = x - f / fp
+        x_new = np.where((lo < x_new) & (x_new < hi), x_new, 0.5 * (lo + hi))
+        done = np.abs(x_new - x) <= _NEWTON_TOL * np.maximum(np.abs(x), 1.0)
+        roots[active[done]] = x_new[done]
+        keep = ~done
+        active, x, lo, hi, sign_lo = active[keep], x_new[keep], lo[keep], hi[keep], sign_lo[keep]
+        if active.size == 0:
+            return roots
+    raise RuntimeError(
+        f"GLR nodes {active.tolist()} did not converge for M={M}: "
+        f"max residual {np.max(np.abs(dval(x)[0])):.3e}"
+    )
 
 
 def build_rule(node_kind: str, basis_kind: str, beta: float, M: int) -> QuadratureRule:

@@ -10,7 +10,6 @@ rows it produced.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -134,7 +133,7 @@ SPECTRUM_DEFAULTS = {
 }
 
 
-def run_spectrum(cfg: dict, outdir: Path, jobs: int = 1) -> dict:
+def run_spectrum(cfg: dict, outdir: Path) -> dict:
     u = cfg["u"]
     if u is None:
         u = 1.0 if cfg["direction"] == "inflow" else -1.0
@@ -156,7 +155,7 @@ def run_spectrum(cfg: dict, outdir: Path, jobs: int = 1) -> dict:
 RULE_DEFAULTS = {"nodes": "gl", "basis": "polynomials", "beta": 1.0, "M": 10}
 
 
-def run_rule(cfg: dict, outdir: Path, jobs: int = 1) -> dict:
+def run_rule(cfg: dict, outdir: Path) -> dict:
     rule = build_rule(cfg["nodes"], cfg["basis"], float(cfg["beta"]), int(cfg["M"]))
     write_csv(outdir / "rule.csv", ["node", "weight"], zip(rule.nodes, rule.weights))
     write_manifest(outdir, cfg)
@@ -166,7 +165,7 @@ def run_rule(cfg: dict, outdir: Path, jobs: int = 1) -> dict:
 OPERATOR_DEFAULTS = dict(SPECTRUM_DEFAULTS)
 
 
-def run_operator(cfg: dict, outdir: Path, jobs: int = 1) -> dict:
+def run_operator(cfg: dict, outdir: Path) -> dict:
     u = cfg["u"]
     if u is None:
         u = 1.0 if cfg["direction"] == "inflow" else -1.0
@@ -251,9 +250,9 @@ def _validation_row(cfg: dict, direction: str, h1: float, sigma: float,
     }
 
 
-def run_coupling_validation(cfg: dict, outdir: Path, jobs: int = 1) -> dict:
+def run_coupling_validation(cfg: dict, outdir: Path) -> dict:
     tasks = [(d, h1, s) for d in cfg["directions"] for h1 in cfg["h1_list"] for s in cfg["sigma_list"]]
-    rows = _map_rows(lambda t: _validation_row(cfg, *t, outdir), tasks, jobs)
+    rows = _map_rows(lambda t: _validation_row(cfg, *t, outdir), tasks)
     write_csv(
         outdir / "results.csv",
         ["x0", "h1", "sigma", "e1_h", "e1_u", "e2_h", "e2_u", "einf_h", "einf_u"],
@@ -325,8 +324,8 @@ def _wavetrain_row(cfg: dict, amplitude: float, outdir: Path) -> dict:
     }
 
 
-def run_wavetrain(cfg: dict, outdir: Path, jobs: int = 1) -> dict:
-    rows = _map_rows(lambda a: _wavetrain_row(cfg, a, outdir), list(cfg["amplitude_list"]), jobs)
+def run_wavetrain(cfg: dict, outdir: Path) -> dict:
+    rows = _map_rows(lambda a: _wavetrain_row(cfg, a, outdir), list(cfg["amplitude_list"]))
     write_csv(
         outdir / "results.csv",
         ["amplitude", "wavenumber", "nx", "beta", "e2_h", "einf_h", "e2_u", "einf_u", "e_en"],
@@ -397,8 +396,8 @@ def _absorption_row(cfg: dict, row, outdir: Path) -> dict:
     }
 
 
-def run_gaussian_absorption(cfg: dict, outdir: Path, jobs: int = 1) -> dict:
-    rows = _map_rows(lambda r: _absorption_row(cfg, r, outdir), list(cfg["rows"]), jobs)
+def run_gaussian_absorption(cfg: dict, outdir: Path) -> dict:
+    rows = _map_rows(lambda r: _absorption_row(cfg, r, outdir), list(cfg["rows"]))
     write_csv(
         outdir / "results.csv",
         ["semi_nodes", "nx", "steps", "beta", "resid_h", "resid_u", "e_en", "rho"],
@@ -446,11 +445,11 @@ def dg_advection_error(u: float, p: int, nx: int, T: float, cfl: float) -> float
     return float(np.sqrt(mesh.dz * np.sum((num - ref) ** 2)))
 
 
-def run_convergence(cfg: dict, outdir: Path, jobs: int = 1) -> dict:
+def run_convergence(cfg: dict, outdir: Path) -> dict:
     nx_list = [int(n) for n in cfg["nx_list"]]
     errs = _map_rows(
         lambda nx: dg_advection_error(float(cfg["u"]), int(cfg["p"]), nx, float(cfg["T"]), float(cfg["cfl"])),
-        nx_list, jobs)
+        nx_list)
     orders = [float("nan")] + [float(np.log2(errs[i - 1] / errs[i])) for i in range(1, len(errs))]
     rows = list(zip(nx_list, errs, orders))
     write_csv(outdir / "results.csv", ["nx", "l2_error", "order"], rows)
@@ -461,10 +460,8 @@ def run_convergence(cfg: dict, outdir: Path, jobs: int = 1) -> dict:
 # --------------------------------------------------------------------------
 
 
-def _map_rows(fn, items, jobs: int):
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
+def _map_rows(fn, items):
+    """Rows in order, serially; its own function so perfbench can time the row loop."""
     return [fn(item) for item in items]
 
 
@@ -488,7 +485,7 @@ SCENARIOS = {
 }
 
 
-def run_scenario(cfg: dict, outdir, jobs: int = 1) -> dict:
+def run_scenario(cfg: dict, outdir) -> dict:
     name = cfg.get("scenario")
     if name not in SCENARIOS:
         raise ConfigError(f"unknown scenario {name!r}; expected one of {sorted(SCENARIOS)}")
@@ -496,4 +493,4 @@ def run_scenario(cfg: dict, outdir, jobs: int = 1) -> dict:
     resolved = resolve_config(scenario.defaults, cfg, name)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    return scenario.runner(resolved, outdir, jobs)
+    return scenario.runner(resolved, outdir)

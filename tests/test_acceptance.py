@@ -53,9 +53,9 @@ def _report(criterion: str, ok: bool, detail: str) -> bool:
     return ok
 
 
-def _run(cfg: dict, tmp_path, name: str, jobs: int = 1):
+def _run(cfg: dict, tmp_path, name: str):
     out = tmp_path / name
-    return run_scenario(cfg, out, jobs=jobs)
+    return run_scenario(cfg, out)
 
 
 # -- criterion 1 -----------------------------------------------------------

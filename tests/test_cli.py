@@ -122,13 +122,6 @@ class TestCliCommands:
         assert manifest["beta"] == 1.0  # defaulted value recorded
         assert manifest["M"] == 4
 
-    def test_jobs_threading_matches_serial(self, tmp_path):
-        cfg = {"scenario": "convergence", "nx_list": [10, 20], "T": 0.1}
-        run_scenario(dict(cfg), tmp_path / "serial", jobs=1)
-        run_scenario(dict(cfg), tmp_path / "par", jobs=2)
-        assert ((tmp_path / "serial" / "results.csv").read_bytes()
-                == (tmp_path / "par" / "results.csv").read_bytes())
-
     def test_console_entry_point(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "lagdg.cli", "rule", "--M", "2",

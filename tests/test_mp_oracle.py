@@ -9,12 +9,18 @@ from the closed form x_i / ((n+1) L_{n+1}(x_i))^2 (Abramowitz & Stegun
 formulas.  The double-precision entries and spectra are compared against
 that assembly, and the blow-up constant that criterion 1 asserts for the
 polynomial basis at M = 10 is checked against the 80-digit spectrum.
+
+GLR rules are checked the same way: the zeros of L'_{M+1} are polished to
+50 digits by Newton on the three-term recurrence, and the weights follow
+from the closed form w_j = 1/((M+1) L_M(x_j)^2) with L_M from
+``mp.laguerre``.
 """
 
 import numpy as np
 import pytest
 
 from lagdg.advection import SchemeVariant, assemble
+from lagdg.quadrature import build_rule
 from lagdg.spectrum import classify
 
 from test_acceptance import GL_POLY_M10_RHO_OVER_BETA
@@ -93,3 +99,55 @@ def test_gl_polynomial_transpose_reading_is_strong_collocation():
         A_mp, D = _mp_gl_outflow("polynomials", 1.0, M, u, transpose=True)
         resid = mp.mnorm(A_mp + u * D, 1) / mp.mnorm(D, 1)
         assert resid < mp.mpf(10) ** (-DPS + 10)
+
+
+# -- GLR rules ---------------------------------------------------------------
+
+GLR_DPS = 50
+
+
+def _mp_glr_unit(M: int, seeds) -> list:
+    """Zeros of L'_{M+1} at GLR_DPS digits: Newton on the mp recurrence.
+
+    L'_n = n (L_n - L_{n-1}) / x and x L''_n = (x - 1) L'_n - n L_n.
+    Returns each zero with L_M there, from which the weights follow.
+    """
+    n = M + 1
+    out = []
+    for s in seeds:
+        x = mp.mpf(s)
+        for _ in range(20):
+            prev, cur = mp.mpf(1), 1 - x
+            for j in range(1, n):
+                prev, cur = cur, ((2 * j + 1 - x) * cur - j * prev) / (j + 1)
+            d = n * (cur - prev) / x
+            step = d / (((x - 1) * d - n * cur) / x)
+            x -= step
+            if abs(step) <= mp.mpf(10) ** (-GLR_DPS + 5) * x:
+                break
+        else:
+            raise AssertionError(f"mp Newton did not converge from seed {s}")
+        lag_m = mp.laguerre(M, 0, x)
+        out.append((x, lag_m))
+    return out
+
+
+@pytest.mark.parametrize("M", (1, 2, 10, 50, 180))
+def test_glr_rule_matches_50_digit_roots(M):
+    n = M + 1
+    seeds = build_rule("glr", "polynomials", 1.0, M).nodes[1:]
+    with mp.workdps(GLR_DPS):
+        roots = _mp_glr_unit(M, seeds)
+        x = np.array([float(r) for r, _ in roots])
+        # GLR weights: w_0 = 1/(M+1), w_j = 1/((M+1) L_M(x_j)^2); the
+        # function basis absorbs exp(x_j)
+        w_poly = [mp.mpf(1) / n] + [1 / (n * lm**2) for _, lm in roots]
+        w_fun = [mp.mpf(1) / n] + [mp.exp(r) / (n * lm**2) for r, lm in roots]
+        w_poly = np.array([float(w) for w in w_poly])
+        w_fun = np.array([float(w) for w in w_fun])
+    for beta in (1.0, 0.25):
+        for basis, w_ref in (("polynomials", w_poly), ("functions", w_fun)):
+            rule = build_rule("glr", basis, beta, M)
+            assert rule.nodes[0] == 0.0
+            np.testing.assert_allclose(rule.nodes[1:], x / beta, rtol=2e-13, atol=0)
+            np.testing.assert_allclose(rule.weights, w_ref / beta, rtol=3e-11, atol=0)

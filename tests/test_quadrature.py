@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from lagdg.basis import BasisSpec, laguerre_fun_derivative_expansion, laguerre_fun_eval
+from lagdg import quadrature
+from lagdg.basis import (
+    BasisSpec,
+    laguerre_fun_derivative_expansion,
+    laguerre_fun_eval,
+    laguerre_poly_table,
+)
+from lagdg.cli import main
 from lagdg.quadrature import (
     build_diff_matrix,
     build_rule,
@@ -77,6 +84,57 @@ class TestRuleConstruction:
             build_rule("gl", "functions", 1.0, 201)
         with pytest.raises(ValueError):
             build_rule("gl", "functions", -1.0, 5)
+
+
+def glr_unit_per_node(M):
+    """Reference: the GLR Newton solve one node at a time.
+
+    Same brackets, start, bracket update, bisection fallback and stopping
+    test as ``quadrature._glr_unit``, on scalars.
+    """
+    n = M + 1
+    gl_nodes, _ = quadrature._gl_unit(n)
+
+    def dval(x):
+        tab = laguerre_poly_table(n, np.asarray(x))
+        d = n * (tab[n] - tab[n - 1]) / x
+        dd = ((x - 1.0) * d - n * tab[n]) / x
+        return d, dd
+
+    roots = np.empty(M)
+    for k in range(M):
+        lo, hi = gl_nodes[k], gl_nodes[k + 1]
+        flo, _ = dval(lo)
+        x = 0.5 * (lo + hi)
+        for _ in range(quadrature._NEWTON_MAXIT):
+            f, fp = dval(x)
+            if np.sign(f) == np.sign(flo):
+                lo = x
+            else:
+                hi = x
+            x_new = x - f / fp
+            if not lo < x_new < hi:
+                x_new = 0.5 * (lo + hi)
+            if abs(x_new - x) <= quadrature._NEWTON_TOL * max(abs(x), 1.0):
+                x = x_new
+                break
+            x = x_new
+        else:
+            raise RuntimeError(f"GLR node {k} did not converge for M={M}")
+        roots[k] = x
+    return roots
+
+
+class TestGLRNewton:
+    @pytest.mark.parametrize("M", [*range(1, 41), 180])
+    def test_bit_identical_to_per_node_solve(self, M):
+        assert np.array_equal(quadrature._glr_unit(M), glr_unit_per_node(M))
+
+    def test_non_convergence_raises_and_exits_3(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(quadrature, "_NEWTON_MAXIT", 2)
+        with pytest.raises(RuntimeError, match="did not converge for M=20"):
+            build_rule("glr", "functions", 1.0, 20)
+        assert main(["rule", "--nodes", "glr", "--M", "20", "--output", str(tmp_path)]) == 3
 
 
 class TestCardinalBasis:
