@@ -19,17 +19,16 @@ from typing import Callable
 import numpy as np
 
 from .basis import LAGUERRE_FUNCTIONS, BasisSpec
-from .dg import DGOperator, DGState, Mesh1D, edge_values, project_dg, trace_at_right
+from .dg import DGOperator, DGState, Mesh1D, edge_values, eval_at_centers, project_dg
 from .quadrature import QuadratureRule
 from .semiinf import (
     HyperbolicSystem,
     LaguerreModalOperator,
     ModalState,
     project as project_semi,
-    trace_at_origin,
 )
 
-DEFAULT_CFL = 0.3
+CFL_WARN = 0.4  # advisory bound: run_simulation warns above it
 
 
 @dataclass(frozen=True)
@@ -181,39 +180,28 @@ class CoupledModel:
                             self.spec, self.semi_op.rule, origin_shift=L)
         return CoupledState(dg, semi, 0.0)
 
+    def centers_view(self, y: np.ndarray) -> np.ndarray:
+        """Cell-centre values of the DG part, shape (n_elements, d)."""
+        return eval_at_centers(DGState(y[: self._n_dg].reshape(self._dg_shape), self.p))
+
     def max_speed(self) -> float:
         return abs(self.cfg.U) + self.cfg.wave_speed
 
 
-def coupled_rhs(sys: HyperbolicSystem, mesh: Mesh1D, state: CoupledState, t: float,
-                left_bc=None) -> tuple[np.ndarray, np.ndarray]:
-    """Trace-exchanging right-hand side for an arbitrary prepared system.
-
-    Returns (dg_coefficient_rates, modal_coefficient_rates); both substates
-    see the other's boundary trace at the same time level.
-    """
-    dg_op = DGOperator(sys, mesh, state.dg.p)
-    semi_op = LaguerreModalOperator(sys, state.semi.spec)
-    values, mask = left_bc if left_bc is not None else (None, None)
-    dg_dot = dg_op.rhs(state.dg.coeffs, t, values, mask, trace_at_origin(state.semi))
-    semi_dot = semi_op.rhs(state.semi.coeffs, t, trace_at_right(state.dg, mesh))
-    return dg_dot, semi_dot
-
-
 def run_simulation(rhs: Callable, y0: np.ndarray, t0: float, dt: float, n_steps: int,
                    observers=(), max_speed: float | None = None,
-                   min_dz: float | None = None, cfl_max: float = DEFAULT_CFL) -> np.ndarray:
+                   min_dz: float | None = None) -> np.ndarray:
     """Advance n_steps RK3 steps; observers are called as f(step, t, y).
 
-    The CFL check is advisory: a warning, not an error, so runs can match
-    externally prescribed step counts exactly.
+    The CFL check is advisory: a warning above CFL_WARN, not an error, so
+    runs can match externally prescribed step counts exactly.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be non-negative")
     if max_speed is not None and min_dz is not None and n_steps > 0:
         cfl = dt * max_speed / min_dz
-        if cfl > cfl_max:
-            warnings.warn(f"advective CFL {cfl:.3f} exceeds {cfl_max}", RuntimeWarning, stacklevel=2)
+        if cfl > CFL_WARN:
+            warnings.warn(f"advective CFL {cfl:.3f} exceeds {CFL_WARN}", RuntimeWarning, stacklevel=2)
     y = np.asarray(y0, dtype=float).copy()
     t = t0
     for obs in observers:

@@ -169,20 +169,6 @@ class DGOperator:
         return out.reshape(n, d, P)
 
 
-def dg_rhs(sys: HyperbolicSystem, mesh: Mesh1D, state: DGState, t: float,
-           left_bc=None, right_exterior=None) -> np.ndarray:
-    """One-shot right-hand side; left_bc is (values, mask) or None."""
-    op = DGOperator(sys, mesh, state.p)
-    values, mask = left_bc if left_bc is not None else (None, None)
-    return op.rhs(state.coeffs, t, values, mask, right_exterior)
-
-
-def trace_at_right(state: DGState, mesh: Mesh1D) -> np.ndarray:
-    """Solution value at the right end of the domain, per component."""
-    _, e_right = edge_values(state.p)
-    return state.coeffs[-1] @ e_right
-
-
 def project_dg(component_funcs, mesh: Mesh1D, p: int) -> DGState:
     """Elementwise L2 projection with a (p+2)-point Gauss-Legendre rule."""
     xi, wq = gauss_legendre(p + 2)

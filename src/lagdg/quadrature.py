@@ -157,12 +157,15 @@ def build_rule(node_kind: str, basis_kind: str, beta: float, M: int) -> Quadratu
         # bare closed forms would square exp(x/2)-sized polynomial values.
         weights = weights * np.exp(-x)
 
-    if not np.all(weights > 0) or not np.all(np.isfinite(weights)):
+    weights = weights / beta
+    # Checked after scaling: a subnormal weight has lost precision even
+    # though it is still positive.
+    if not np.all(np.isfinite(weights)) or not np.all(weights >= np.finfo(float).tiny):
         raise RuntimeError(
-            f"weight computation lost positivity for {node_kind}/{basis_kind}, M={M}; "
-            "the classical weights underflow at this order"
+            f"{node_kind}/{basis_kind} weights underflow at M={M}, beta={beta}: smallest "
+            f"{np.min(weights):.3e}, below the smallest normal double"
         )
-    return QuadratureRule(node_kind, basis_kind, beta, M, x / beta, weights / beta)
+    return QuadratureRule(node_kind, basis_kind, beta, M, x / beta, weights)
 
 
 def _log_barycentric(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

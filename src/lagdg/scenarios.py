@@ -123,22 +123,34 @@ class DGOnlyModel:
     def centers_view(self, y: np.ndarray) -> np.ndarray:
         return eval_at_centers(DGState(y.reshape(self._shape), self.p))
 
+    def max_speed(self) -> float:
+        return abs(self.cfg.U) + self.cfg.wave_speed
+
 
 # --------------------------------------------------------------------------
 # spectrum / rule / operator scenarios
 
-SPECTRUM_DEFAULTS = {
+_VARIANT_DEFAULTS = {
     "form": "modal", "basis": "functions", "nodes": "glr", "direction": "outflow",
-    "beta": 1.0, "M": 50, "u": None, "q_left": 1.0, "tol_stability": 1e-8,
+    "beta": 1.0, "M": 50, "u": None,
 }
 
 
-def run_spectrum(cfg: dict, outdir: Path) -> dict:
+def _assemble_variant(cfg: dict, q_left: float = 0.0):
+    """(op, u): the variant's (A, g) pair and the speed used; u defaults to
+    +1 for inflow and -1 for outflow."""
     u = cfg["u"]
     if u is None:
         u = 1.0 if cfg["direction"] == "inflow" else -1.0
-    variant = SchemeVariant(cfg["form"], cfg["basis"], cfg["nodes"], cfg["direction"], cfg["q_left"])
-    op = assemble(variant, float(cfg["beta"]), int(cfg["M"]), float(u))
+    variant = SchemeVariant(cfg["form"], cfg["basis"], cfg["nodes"], cfg["direction"], q_left)
+    return assemble(variant, float(cfg["beta"]), int(cfg["M"]), float(u)), u
+
+
+SPECTRUM_DEFAULTS = {**_VARIANT_DEFAULTS, "tol_stability": 1e-8}
+
+
+def run_spectrum(cfg: dict, outdir: Path) -> dict:
+    op, u = _assemble_variant(cfg)
     report = classify(op, float(cfg["tol_stability"]))
     lam = report.eigenvalues
     write_csv(outdir / "eigenvalues.csv", ["re", "im"], [(z.real, z.imag) for z in lam])
@@ -162,15 +174,11 @@ def run_rule(cfg: dict, outdir: Path) -> dict:
     return {"n_nodes": rule.n}
 
 
-OPERATOR_DEFAULTS = dict(SPECTRUM_DEFAULTS)
+OPERATOR_DEFAULTS = {**_VARIANT_DEFAULTS, "q_left": 1.0}
 
 
 def run_operator(cfg: dict, outdir: Path) -> dict:
-    u = cfg["u"]
-    if u is None:
-        u = 1.0 if cfg["direction"] == "inflow" else -1.0
-    variant = SchemeVariant(cfg["form"], cfg["basis"], cfg["nodes"], cfg["direction"], cfg["q_left"])
-    op = assemble(variant, float(cfg["beta"]), int(cfg["M"]), float(u))
+    op, u = _assemble_variant(cfg, float(cfg["q_left"]))
     write_csv(outdir / "operator_a.csv", [f"c{j}" for j in range(op.n)], op.A)
     write_csv(outdir / "operator_g.csv", ["g"], [(v,) for v in op.g])
     write_manifest(outdir, {**cfg, "u": u})
@@ -182,18 +190,54 @@ def run_operator(cfg: dict, outdir: Path) -> dict:
 
 
 def _snapshot_csv(outdir: Path, name: str, model: CoupledModel, y: np.ndarray) -> None:
-    state = model.unpack(y)
     centers = model.mesh.centers
-    vals = eval_at_centers(state.dg)
+    vals = model.centers_view(y)
     rows = [(x, vals[i, 0], vals[i, 1]) for i, x in enumerate(centers)]
     rule = model.semi_op.rule
-    semi_vals = reconstruct(state.semi, rule.nodes)
+    semi_vals = reconstruct(model.unpack(y).semi, rule.nodes)
     rows += [(model.mesh.length + z, semi_vals[0, i], semi_vals[1, i]) for i, z in enumerate(rule.nodes)]
     write_csv(outdir / name, ["x", "h", "u"], rows)
 
 
 def _gaussian(h1: float, x0: float, sigma: float):
     return lambda x: h1 * np.exp(-(((x - x0) / sigma) ** 2))
+
+
+def _zero(x):
+    return np.zeros_like(np.asarray(x, dtype=float))
+
+
+def _swe(cfg: dict, damping: SigmoidDamping | None = None) -> SWEConfig:
+    return SWEConfig(H=cfg["H"], U=cfg["U"], grav=cfg["grav"], damping=damping)
+
+
+def _damped_layer(cfg: dict, spec: BasisSpec):
+    """(rule, damped SWEConfig): the GLR rule of spec, and a sigmoid layer
+    placed relative to the rule's last node."""
+    rule = default_rule(spec)
+    layer = rule.nodes[-1]
+    damping = SigmoidDamping(dgamma=cfg["dgamma"], L0=layer, alpha=cfg["alpha"],
+                             sigma=cfg["sigma_over_l0"] * layer)
+    return rule, _swe(cfg, damping)
+
+
+def _reference(cfg: dict, mesh: Mesh1D, n_elements: int, **kw) -> DGOnlyModel:
+    """Undamped DG-only model on n_elements cells of the coupled mesh's size."""
+    return DGOnlyModel(_swe(cfg), Mesh1D(n_elements * mesh.dz, n_elements), int(cfg["p"]), **kw)
+
+
+def _solve(model, y0: np.ndarray, dt: float, n_steps: int, n_cells: int):
+    """(yT, values at the first n_cells cell centres) after n_steps from t = 0."""
+    yT = run_simulation(model.rhs, y0, 0.0, dt, n_steps,
+                        max_speed=model.max_speed(), min_dz=model.mesh.dz)
+    return yT, model.centers_view(yT)[:n_cells]
+
+
+def _write_results(outdir: Path, cfg: dict, header: list[str], rows: list[dict]) -> dict:
+    """results.csv with the header's columns of each row, then the manifest."""
+    write_csv(outdir / "results.csv", header, [[r[k] for k in header] for r in rows])
+    write_manifest(outdir, cfg)
+    return {"rows": rows}
 
 
 COUPLING_VALIDATION_DEFAULTS = {
@@ -210,10 +254,10 @@ COUPLING_VALIDATION_DEFAULTS = {
 
 def _validation_row(cfg: dict, direction: str, h1: float, sigma: float,
                     outdir: Path) -> dict:
-    swe = SWEConfig(H=cfg["H"], U=cfg["U"], grav=cfg["grav"], damping=None)
     mesh = Mesh1D(cfg["L"], int(cfg["nx"]))
     spec = BasisSpec("functions", float(cfg["beta"]), int(cfg["semi_nodes"]) - 1)
-    model = CoupledModel(swe, mesh, int(cfg["p"]), spec)
+    model = CoupledModel(_swe(cfg), mesh, int(cfg["p"]), spec)
+    ref = _reference(cfg, mesh, int(round(cfg["ref_length"] / mesh.dz)))
 
     ingoing = direction == "ingoing"
     x0 = cfg["x0_ingoing"] if ingoing else cfg["x0_outgoing"]
@@ -225,20 +269,10 @@ def _validation_row(cfg: dict, direction: str, h1: float, sigma: float,
         dt = float(cfg["T_outgoing"]) / n_steps
 
     h_fun = _gaussian(h1, x0, sigma)
-    u_fun = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    y0 = model.pack(model.initial_state(h_fun, u_fun))
+    n = mesh.n_elements
+    yT, num = _solve(model, model.pack(model.initial_state(h_fun, _zero)), dt, n_steps, n)
+    _, refv = _solve(ref, ref.initial_state(h_fun, _zero), dt, n_steps, n)
 
-    ref_nx = int(round(cfg["ref_length"] / mesh.dz))
-    ref = DGOnlyModel(swe, Mesh1D(ref_nx * mesh.dz, ref_nx), int(cfg["p"]))
-    yr0 = ref.initial_state(h_fun, u_fun)
-
-    yT = run_simulation(model.rhs, y0, 0.0, dt, n_steps,
-                        max_speed=model.max_speed(), min_dz=mesh.dz, cfl_max=0.4)
-    yrT = run_simulation(ref.rhs, yr0, 0.0, dt, n_steps,
-                         max_speed=model.max_speed(), min_dz=mesh.dz, cfl_max=0.4)
-
-    num = eval_at_centers(model.unpack(yT).dg)
-    refv = ref.centers_view(yrT)[: mesh.n_elements]
     eh = error_norms(num[:, 0], refv[:, 0], relative=ingoing)
     eu = error_norms(num[:, 1], refv[:, 1], relative=ingoing)
     if cfg.get("write_snapshots"):
@@ -253,14 +287,8 @@ def _validation_row(cfg: dict, direction: str, h1: float, sigma: float,
 def run_coupling_validation(cfg: dict, outdir: Path) -> dict:
     tasks = [(d, h1, s) for d in cfg["directions"] for h1 in cfg["h1_list"] for s in cfg["sigma_list"]]
     rows = _map_rows(lambda t: _validation_row(cfg, *t, outdir), tasks)
-    write_csv(
-        outdir / "results.csv",
-        ["x0", "h1", "sigma", "e1_h", "e1_u", "e2_h", "e2_u", "einf_h", "einf_u"],
-        [(r["x0"], r["h1"], r["sigma"], r["e1_h"], r["e1_u"], r["e2_h"], r["e2_u"],
-          r["einf_h"], r["einf_u"]) for r in rows],
-    )
-    write_manifest(outdir, cfg)
-    return {"rows": rows}
+    return _write_results(outdir, cfg, ["x0", "h1", "sigma", "e1_h", "e1_u", "e2_h", "e2_u",
+                                        "einf_h", "einf_u"], rows)
 
 
 WAVETRAIN_DEFAULTS = {
@@ -278,11 +306,7 @@ def _wavetrain_row(cfg: dict, amplitude: float, outdir: Path) -> dict:
     c = float(np.sqrt(cfg["grav"] * cfg["H"]))
     mesh = Mesh1D(cfg["L"], int(cfg["nx"]))
     spec = BasisSpec("functions", float(cfg["beta"]), int(cfg["semi_nodes"]) - 1)
-    rule = default_rule(spec)
-    layer = rule.nodes[-1]
-    damping = SigmoidDamping(dgamma=cfg["dgamma"], L0=layer, alpha=cfg["alpha"],
-                             sigma=cfg["sigma_over_l0"] * layer)
-    swe = SWEConfig(H=cfg["H"], U=cfg["U"], grav=cfg["grav"], damping=damping)
+    rule, swe = _damped_layer(cfg, spec)
 
     wavelength = cfg["L"] / float(cfg["wavenumber"])
     period = wavelength / c
@@ -296,22 +320,15 @@ def _wavetrain_row(cfg: dict, amplitude: float, outdir: Path) -> dict:
     dt = cfg["T"] / n_steps
 
     model = CoupledModel(swe, mesh, int(cfg["p"]), spec, left_bc=left_bc, rule=rule)
-    zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    y0 = model.pack(model.initial_state(zero, zero))
-
     ref_len = cfg["L"] + c * cfg["T"] + cfg["ref_margin"]
-    ref_nx = int(np.ceil(ref_len / mesh.dz))
-    ref = DGOnlyModel(SWEConfig(H=cfg["H"], U=cfg["U"], grav=cfg["grav"]),
-                      Mesh1D(ref_nx * mesh.dz, ref_nx), int(cfg["p"]), left_bc=left_bc)
-    yr0 = np.zeros(ref_nx * 2 * (int(cfg["p"]) + 1))
+    ref = _reference(cfg, mesh, int(np.ceil(ref_len / mesh.dz)), left_bc=left_bc)
 
-    yT = run_simulation(model.rhs, y0, 0.0, dt, n_steps,
-                        max_speed=c, min_dz=mesh.dz, cfl_max=0.4)
-    yrT = run_simulation(ref.rhs, yr0, 0.0, dt, n_steps,
-                         max_speed=c, min_dz=mesh.dz, cfl_max=0.4)
+    n = mesh.n_elements
+    yT, num = _solve(model, model.pack(model.initial_state(_zero, _zero)), dt, n_steps, n)
+    # the reference starts at rest: no need to project zero onto its long mesh
+    yr0 = np.zeros(ref.mesh.n_elements * 2 * (int(cfg["p"]) + 1))
+    _, refv = _solve(ref, yr0, dt, n_steps, n)
 
-    num = eval_at_centers(model.unpack(yT).dg)
-    refv = ref.centers_view(yrT)[: mesh.n_elements]
     eh = error_norms(num[:, 0], refv[:, 0], relative=True)
     eu = error_norms(num[:, 1], refv[:, 1], relative=True)
     e_en = energy_error(num[:, 0], refv[:, 0], num[:, 1], refv[:, 1], cfg["grav"], cfg["H"])
@@ -326,14 +343,8 @@ def _wavetrain_row(cfg: dict, amplitude: float, outdir: Path) -> dict:
 
 def run_wavetrain(cfg: dict, outdir: Path) -> dict:
     rows = _map_rows(lambda a: _wavetrain_row(cfg, a, outdir), list(cfg["amplitude_list"]))
-    write_csv(
-        outdir / "results.csv",
-        ["amplitude", "wavenumber", "nx", "beta", "e2_h", "einf_h", "e2_u", "einf_u", "e_en"],
-        [(r["amplitude"], r["wavenumber"], r["nx"], r["beta"], r["e2_h"], r["einf_h"],
-          r["e2_u"], r["einf_u"], r["e_en"]) for r in rows],
-    )
-    write_manifest(outdir, cfg)
-    return {"rows": rows}
+    return _write_results(outdir, cfg, ["amplitude", "wavenumber", "nx", "beta", "e2_h", "einf_h",
+                                        "e2_u", "einf_u", "e_en"], rows)
 
 
 ABSORPTION_DEFAULTS = {
@@ -356,33 +367,17 @@ def _absorption_row(cfg: dict, row, outdir: Path) -> dict:
     dt = T / steps
     mesh = Mesh1D(cfg["D"], nx)
     spec = BasisSpec("functions", beta, semi_nodes - 1)
-    rule = default_rule(spec)
-    layer = rule.nodes[-1]
-    damping = SigmoidDamping(dgamma=cfg["dgamma"], L0=layer, alpha=cfg["alpha"],
-                             sigma=cfg["sigma_over_l0"] * layer)
-    swe_damped = SWEConfig(H=cfg["H"], U=cfg["U"], grav=cfg["grav"], damping=damping)
-    swe_plain = SWEConfig(H=cfg["H"], U=cfg["U"], grav=cfg["grav"])
+    rule, swe = _damped_layer(cfg, spec)
+
+    model = CoupledModel(swe, mesh, int(cfg["p"]), spec, rule=rule)
+    wall = DGOnlyModel(_swe(cfg), mesh, int(cfg["p"]), reflect_right=True)
+    ref = _reference(cfg, mesh, int(round(cfg["ref_length"] / mesh.dz)))
 
     h_fun = _gaussian(cfg["h1"], cfg["x0"], cfg["sigma"])
-    zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+    yT, num = _solve(model, model.pack(model.initial_state(h_fun, _zero)), dt, steps, nx)
+    _, wallv = _solve(wall, wall.initial_state(h_fun, _zero), dt, steps, nx)
+    _, refv = _solve(ref, ref.initial_state(h_fun, _zero), dt, steps, nx)
 
-    model = CoupledModel(swe_damped, mesh, int(cfg["p"]), spec, rule=rule)
-    y0 = model.pack(model.initial_state(h_fun, zero))
-
-    wall = DGOnlyModel(swe_plain, mesh, int(cfg["p"]), reflect_right=True)
-    yw0 = wall.initial_state(h_fun, zero)
-
-    ref_nx = int(round(cfg["ref_length"] / mesh.dz))
-    ref = DGOnlyModel(swe_plain, Mesh1D(ref_nx * mesh.dz, ref_nx), int(cfg["p"]))
-    yr0 = ref.initial_state(h_fun, zero)
-
-    yT = run_simulation(model.rhs, y0, 0.0, dt, steps, max_speed=c, min_dz=mesh.dz, cfl_max=0.4)
-    ywT = run_simulation(wall.rhs, yw0, 0.0, dt, steps, max_speed=c, min_dz=mesh.dz, cfl_max=0.4)
-    yrT = run_simulation(ref.rhs, yr0, 0.0, dt, steps, max_speed=c, min_dz=mesh.dz, cfl_max=0.4)
-
-    num = eval_at_centers(model.unpack(yT).dg)
-    wallv = wall.centers_view(ywT)
-    refv = ref.centers_view(yrT)[: mesh.n_elements]
     e_en = energy_error(num[:, 0], refv[:, 0], num[:, 1], refv[:, 1], cfg["grav"], cfg["H"])
     e_wall = energy_error(wallv[:, 0], refv[:, 0], wallv[:, 1], refv[:, 1], cfg["grav"], cfg["H"])
     rho = reflection_ratio(e_en, e_wall)
@@ -398,14 +393,8 @@ def _absorption_row(cfg: dict, row, outdir: Path) -> dict:
 
 def run_gaussian_absorption(cfg: dict, outdir: Path) -> dict:
     rows = _map_rows(lambda r: _absorption_row(cfg, r, outdir), list(cfg["rows"]))
-    write_csv(
-        outdir / "results.csv",
-        ["semi_nodes", "nx", "steps", "beta", "resid_h", "resid_u", "e_en", "rho"],
-        [(r["semi_nodes"], r["nx"], r["steps"], r["beta"], r["resid_h"], r["resid_u"],
-          r["e_en"], r["rho"]) for r in rows],
-    )
-    write_manifest(outdir, cfg)
-    return {"rows": rows}
+    return _write_results(outdir, cfg, ["semi_nodes", "nx", "steps", "beta", "resid_h", "resid_u",
+                                        "e_en", "rho"], rows)
 
 
 CONVERGENCE_DEFAULTS = {
@@ -451,10 +440,8 @@ def run_convergence(cfg: dict, outdir: Path) -> dict:
         lambda nx: dg_advection_error(float(cfg["u"]), int(cfg["p"]), nx, float(cfg["T"]), float(cfg["cfl"])),
         nx_list)
     orders = [float("nan")] + [float(np.log2(errs[i - 1] / errs[i])) for i in range(1, len(errs))]
-    rows = list(zip(nx_list, errs, orders))
-    write_csv(outdir / "results.csv", ["nx", "l2_error", "order"], rows)
-    write_manifest(outdir, cfg)
-    return {"rows": [{"nx": n, "l2_error": e, "order": o} for n, e, o in rows]}
+    rows = [{"nx": n, "l2_error": e, "order": o} for n, e, o in zip(nx_list, errs, orders)]
+    return _write_results(outdir, cfg, ["nx", "l2_error", "order"], rows)
 
 
 # --------------------------------------------------------------------------

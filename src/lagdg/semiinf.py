@@ -70,11 +70,6 @@ def flux_split(a: np.ndarray, eig_triple) -> tuple[np.ndarray, np.ndarray]:
     return a_plus, a_minus
 
 
-def trace_at_origin(state: ModalState) -> np.ndarray:
-    """Boundary value per component: every basis function equals 1 at 0."""
-    return state.coeffs.sum(axis=1)
-
-
 def default_rule(spec: BasisSpec) -> QuadratureRule:
     return build_rule(NODES_GLR, LAGUERRE_FUNCTIONS, spec.beta, spec.M)
 
@@ -167,14 +162,3 @@ class LaguerreModalOperator:
         out = (self.K @ coeffs.ravel()).reshape(coeffs.shape)
         out += self.spec.beta * bc[:, None]
         return out
-
-
-def modal_rhs(sys: HyperbolicSystem, state: ModalState, t: float,
-              boundary_g) -> np.ndarray:
-    """One-shot right-hand side evaluation.
-
-    Builds the prepared operator on the fly: fine for tests and scripts;
-    time loops should construct a LaguerreModalOperator once.
-    """
-    op = LaguerreModalOperator(sys, state.spec)
-    return op.rhs(state.coeffs, t, np.asarray(boundary_g, dtype=float))

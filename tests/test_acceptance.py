@@ -37,7 +37,7 @@ from lagdg.basis import BasisSpec, laguerre_fun_derivative_expansion, laguerre_f
 from lagdg.coupled import SWEConfig, rk3_step, swe_system
 from lagdg.quadrature import build_rule
 from lagdg.scenarios import dg_advection_error, run_scenario
-from lagdg.semiinf import ModalState, modal_rhs
+from lagdg.semiinf import LaguerreModalOperator
 from lagdg.spectrum import classify, eigenvalues
 
 BETAS = (0.5, 1.0, 2.0)
@@ -270,7 +270,7 @@ def test_criterion_9_oracle_equivalences():
     rng = np.random.default_rng(7)
     q = rng.normal(size=(2, M + 1))
     gvec = rng.normal(size=2)
-    got = modal_rhs(sys, ModalState(q.copy(), spec), 0.0, gvec)
+    got = LaguerreModalOperator(sys, spec).rhs(q, 0.0, gvec)
     V, lam, Vinv = sys.eig(None, 0.0)
     w = Vinv @ q
     gw = Vinv @ gvec

@@ -92,6 +92,13 @@ class TestCliCommands:
         rc = main(["run", "--config", str(cfg), "--output", str(tmp_path / "o")])
         assert rc == 2
 
+    @pytest.mark.parametrize("config, key", [("operator_example", "tol_stability=1e-8"),
+                                             ("spectrum_modal_functions_outflow", "q_left=1.0")])
+    def test_removed_variant_keys_are_config_errors(self, tmp_path, config, key):
+        rc = main(["run", "--config", str(CONFIG_DIR / f"{config}.cfg"), "--override", key,
+                   "--output", str(tmp_path / "o")])
+        assert rc == 2
+
     def test_missing_config_file(self, tmp_path):
         rc = main(["run", "--config", str(tmp_path / "missing.cfg"),
                    "--output", str(tmp_path / "o")])

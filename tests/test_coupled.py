@@ -4,10 +4,8 @@ import pytest
 from lagdg.basis import BasisSpec
 from lagdg.coupled import (
     CoupledModel,
-    CoupledState,
     SigmoidDamping,
     SWEConfig,
-    coupled_rhs,
     dg_energy,
     rk3_step,
     run_simulation,
@@ -15,9 +13,9 @@ from lagdg.coupled import (
     sigmoid_gamma,
     swe_system,
 )
-from lagdg.dg import DGOperator, Mesh1D, project_dg
+from lagdg.dg import DGOperator, Mesh1D, edge_values, project_dg
 from lagdg.scenarios import DGOnlyModel
-from lagdg.semiinf import ModalState, project
+from lagdg.semiinf import LaguerreModalOperator
 
 
 class TestSWESystem:
@@ -145,20 +143,19 @@ class TestCoupledRhs:
         assert dot[: model._n_dg] == pytest.approx(dot_single, abs=1e-10)
 
     def test_functional_interface_exchanges_traces(self):
-        # coupled_rhs sees the other side's trace at the same time level
+        # each operator sees the other side's trace at the same time level
         cfg = SWEConfig()
         sys = swe_system(cfg)
         mesh = Mesh1D(50.0, 10)
         spec = BasisSpec("functions", 0.1, 9)
         rng = np.random.default_rng(12)
-        dg_state = project_dg([lambda x: 0.0 * x, lambda x: 0.0 * x], mesh, 1)
-        dg_state.coeffs[:] = rng.normal(size=dg_state.coeffs.shape) * 0.01
-        semi = ModalState(rng.normal(size=(2, 10)) * 0.01, spec, origin_shift=50.0)
-        state = CoupledState(dg_state, semi, 0.0)
-        dg_dot, semi_dot = coupled_rhs(sys, mesh, state, 0.0)
+        dg = rng.normal(size=(10, 2, 2)) * 0.01
+        semi = rng.normal(size=(2, 10)) * 0.01
+        dg_dot = DGOperator(sys, mesh, 1).rhs(dg, 0.0, None, None, semi.sum(axis=1))
+        semi_dot = LaguerreModalOperator(sys, spec).rhs(semi, 0.0, dg[-1] @ edge_values(1)[1])
 
         model = CoupledModel(cfg, mesh, 1, spec)
-        y = np.concatenate([dg_state.coeffs.ravel(), semi.coeffs.ravel()])
+        y = np.concatenate([dg.ravel(), semi.ravel()])
         dot = model.rhs(0.0, y)
         assert dot == pytest.approx(np.concatenate([dg_dot.ravel(), semi_dot.ravel()]), abs=1e-13)
 
@@ -205,7 +202,7 @@ class TestRunSimulation:
     def test_cfl_warning(self):
         with pytest.warns(RuntimeWarning):
             run_simulation(lambda t, y: -y, np.ones(2), 0.0, 1.0, 1,
-                           max_speed=10.0, min_dz=1.0, cfl_max=0.3)
+                           max_speed=10.0, min_dz=1.0)
 
     def test_gaussian_translation_accuracy(self):
         # p=1 advection of a Gaussian: L2 error behaves like dz^2

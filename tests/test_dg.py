@@ -7,12 +7,10 @@ from lagdg.dg import (
     DGState,
     Mesh1D,
     characteristic_ghost,
-    dg_rhs,
     edge_values,
     eval_at,
     eval_at_centers,
     project_dg,
-    trace_at_right,
 )
 from lagdg.scenarios import dg_advection_error, _advection_system
 from lagdg.semiinf import HyperbolicSystem, flux_split
@@ -50,9 +48,7 @@ class TestRhs:
         mesh = Mesh1D(10.0, 16)
         q_star = np.array([0.7, -0.2])
         state = project_dg([lambda z: q_star[0] + 0.0 * z, lambda z: q_star[1] + 0.0 * z], mesh, 1)
-        rhs = dg_rhs(sys, mesh, state, 0.0,
-                     left_bc=(q_star, np.array([False, True])),
-                     right_exterior=q_star)
+        rhs = DGOperator(sys, mesh, 1).rhs(state.coeffs, 0.0, q_star, np.array([False, True]), q_star)
         assert np.max(np.abs(rhs)) < 1e-13
 
     def test_p0_reduces_to_upwind_finite_volume(self):
@@ -60,8 +56,7 @@ class TestRhs:
         mesh = Mesh1D(1.0, 10)
         rng = np.random.default_rng(1)
         q = rng.normal(size=(10, 1, 1))
-        state = DGState(q.copy(), 0)
-        rhs = dg_rhs(sys, mesh, state, 0.0, left_bc=(np.array([0.3]), np.array([True])))
+        rhs = DGOperator(sys, mesh, 0).rhs(q, 0.0, np.array([0.3]), np.array([True]), None)
         vals = q[:, 0, 0]
         expect = np.empty(10)
         expect[0] = -(vals[0] - 0.3) / mesh.dz
@@ -123,19 +118,17 @@ class TestRhs:
 class TestTraceAndGhost:
     def test_trace_p0(self):
         state = DGState(np.array([[[2.0]], [[5.0]]]), 0)
-        mesh = Mesh1D(1.0, 2)
-        assert trace_at_right(state, mesh) == pytest.approx([5.0])
+        assert state.coeffs[-1] @ edge_values(0)[1] == pytest.approx([5.0])
 
     def test_trace_p1(self):
         state = DGState(np.array([[[1.0, 0.5]]]), 1)
-        mesh = Mesh1D(1.0, 1)
-        assert trace_at_right(state, mesh) == pytest.approx([1.0 + np.sqrt(3) * 0.5])
+        assert state.coeffs[-1] @ edge_values(1)[1] == pytest.approx([1.0 + np.sqrt(3) * 0.5])
 
     def test_trace_matches_eval(self):
         rng = np.random.default_rng(4)
         state = DGState(rng.normal(size=(6, 2, 3)), 2)
         mesh = Mesh1D(3.0, 6)
-        tr = trace_at_right(state, mesh)
+        tr = state.coeffs[-1] @ edge_values(2)[1]
         ev = eval_at(state, mesh, 3.0 - 1e-12)[:, 0]
         assert tr == pytest.approx(ev, abs=1e-9)
 

@@ -85,6 +85,13 @@ class TestRuleConstruction:
         with pytest.raises(ValueError):
             build_rule("gl", "functions", -1.0, 5)
 
+    def test_underflowing_polynomial_weights_raise_and_exit_3(self, tmp_path):
+        # the scaled classical weights must stay normal doubles: at
+        # beta = 100, M = 193 the smallest one is exactly 0.0
+        with pytest.raises(RuntimeError, match="underflow"):
+            build_rule("gl", "polynomials", 100.0, 193)
+        assert main(["rule", "--basis", "polynomials", "--M", "194", "--output", str(tmp_path)]) == 3
+
 
 def glr_unit_per_node(M):
     """Reference: the GLR Newton solve one node at a time.

@@ -1,8 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from lagdg import advection, basis, coupled, quadrature, scenarios, semiinf
 from lagdg.scenarios import (
     DGOnlyModel,
     format_float,
@@ -59,6 +61,18 @@ class TestCoupledScenariosSmall:
         assert row["e_en_wall"] > 0
         assert (tmp_path / "results.csv").exists()
 
+    def test_cfl_warning_counts_background_flow(self, tmp_path):
+        # dt c / dz = 0.385 but dt (|U| + c) / dz = 0.446: the coupled model
+        # and both DG references warn
+        cfg = {"scenario": "gaussian_absorption", "U": 0.5,
+               "rows": [[10, 100, 130, 0.0035714285714285713]]}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_scenario(cfg, tmp_path)
+        cfl = [w for w in caught if issubclass(w.category, RuntimeWarning) and "CFL" in str(w.message)]
+        assert len(cfl) == 3
+        assert (tmp_path / "results.csv").exists()
+
     def test_wavetrain_small_row(self, tmp_path):
         cfg = {"scenario": "wavetrain", "L": 500.0, "nx": 60, "semi_nodes": 12,
                "beta": 0.05, "amplitude_list": [0.05], "wavenumber": 5, "T": 300.0}
@@ -112,3 +126,36 @@ class TestDGOnlyModel:
         assert mesh.centers[i] == pytest.approx(80.0, abs=3.0)
         # reflected wave is a left-mover: u has opposite sign to h
         assert np.sign(vals[i, 1]) == -np.sign(vals[i, 0])
+
+
+class TestBenchmarkHooks:
+    """perfbench rebinds these names in place to time and count calls, so
+    they must exist and be shared by identity across modules."""
+
+    def test_rebound_names_are_shared(self):
+        for name in ("_validation_row", "_wavetrain_row", "_absorption_row", "_map_rows"):
+            assert callable(getattr(scenarios, name)), name
+        assert scenarios.run_simulation is coupled.run_simulation
+        assert scenarios.build_rule is semiinf.build_rule is advection.build_rule is quadrature.build_rule
+        assert quadrature.laguerre_poly_table is basis.laguerre_poly_table
+        assert callable(coupled.rk3_step)
+
+    def test_rows_and_solves_go_through_module_globals(self, tmp_path, monkeypatch):
+        rows, solves = [], []
+        row_runner, solve = scenarios._absorption_row, scenarios.run_simulation
+
+        def recorded_row(*args):
+            rows.append(args[1])
+            return row_runner(*args)
+
+        def recorded_solve(rhs, y0, *args, **kwargs):
+            # perfbench reads n_steps as the fifth positional argument
+            solves.append((type(rhs.__self__).__name__, args[2]))
+            return solve(rhs, y0, *args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "_absorption_row", recorded_row)
+        monkeypatch.setattr(scenarios, "run_simulation", recorded_solve)
+        run_scenario({"scenario": "gaussian_absorption", "D": 1000.0, "x0": 750.0, "sigma": 50.0,
+                      "rows": [[5, 20, 30, 0.01]], "ref_length": 1500.0}, tmp_path)
+        assert rows == [[5, 20, 30, 0.01]]
+        assert solves == [("CoupledModel", 30), ("DGOnlyModel", 30), ("DGOnlyModel", 30)]

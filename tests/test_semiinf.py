@@ -10,10 +10,8 @@ from lagdg.semiinf import (
     ModalState,
     default_rule,
     flux_split,
-    modal_rhs,
     project,
     reconstruct,
-    trace_at_origin,
 )
 
 
@@ -109,15 +107,15 @@ class TestProjection:
 class TestTrace:
     def test_zero_and_plain_sum(self):
         spec = BasisSpec("functions", 1.0, 2)
-        assert trace_at_origin(ModalState(np.zeros((2, 3)), spec)) == pytest.approx([0.0, 0.0])
+        assert ModalState(np.zeros((2, 3)), spec).coeffs.sum(axis=1) == pytest.approx([0.0, 0.0])
         st = ModalState(np.array([[1.0, -1.0, 0.5]]), spec)
-        assert trace_at_origin(st) == pytest.approx([0.5])
+        assert st.coeffs.sum(axis=1) == pytest.approx([0.5])
 
     def test_matches_series_evaluation(self):
         spec = BasisSpec("functions", 0.7, 14)
         f = lambda z: np.exp(-0.5 * z) * np.cos(z)
         state = project([f], spec)
-        tr = trace_at_origin(state)
+        tr = state.coeffs.sum(axis=1)
         assert tr[0] == pytest.approx(reconstruct(state, 0.0)[0, 0], abs=1e-12)
 
 
@@ -127,8 +125,7 @@ class TestModalRhs:
         spec = BasisSpec("functions", beta, M)
         rng = np.random.default_rng(0)
         q = rng.normal(size=(1, M + 1))
-        state = ModalState(q.copy(), spec)
-        got = modal_rhs(scalar_system(u), state, 0.0, np.array([qL]))
+        got = LaguerreModalOperator(scalar_system(u), spec).rhs(q, 0.0, np.array([qL]))
         op = assemble(SchemeVariant("modal", "functions", direction="inflow", q_left=qL), beta, M, u)
         assert got[0] == pytest.approx(apply(op, q[0]), abs=1e-13)
 
@@ -137,8 +134,7 @@ class TestModalRhs:
         spec = BasisSpec("functions", beta, M)
         rng = np.random.default_rng(1)
         q = rng.normal(size=(1, M + 1))
-        state = ModalState(q.copy(), spec)
-        got = modal_rhs(scalar_system(u), state, 0.0, np.array([0.0]))
+        got = LaguerreModalOperator(scalar_system(u), spec).rhs(q, 0.0, np.array([0.0]))
         op = assemble(SchemeVariant("modal", "functions", direction="outflow"), beta, M, u)
         assert got[0] == pytest.approx(apply(op, q[0]), abs=1e-13)
 
@@ -152,7 +148,7 @@ class TestModalRhs:
         rng = np.random.default_rng(5)
         q = rng.normal(size=(2, M + 1))
         gvec = rng.normal(size=2)
-        got = modal_rhs(sys, ModalState(q.copy(), spec), 0.0, gvec)
+        got = LaguerreModalOperator(sys, spec).rhs(q, 0.0, gvec)
 
         V, lam, Vinv = sys.eig(None, 0.0)
         w = Vinv @ q
