@@ -19,7 +19,16 @@ from typing import Callable
 import numpy as np
 
 from .basis import LAGUERRE_FUNCTIONS, BasisSpec
-from .dg import DGOperator, DGState, Mesh1D, edge_values, eval_at_centers, project_dg
+from .dg import (
+    DGOperator,
+    DGState,
+    Mesh1D,
+    _edge_trace,
+    _from_blocks,
+    _to_blocks,
+    eval_at_centers,
+    project_dg,
+)
 from .quadrature import QuadratureRule
 from .semiinf import (
     HyperbolicSystem,
@@ -122,18 +131,28 @@ def rk3_step(rhs: Callable, y: np.ndarray, t: float, dt: float) -> np.ndarray:
     return out
 
 
+def _boundary_mask(left_bc, left_mask):
+    """left_mask, once checked that boundary data and mask come together."""
+    if (left_bc is None) != (left_mask is None):
+        raise ValueError("left_bc and left_mask must be given together")
+    return left_mask
+
+
 class CoupledModel:
     """Prepared coupled right-hand side over a flat state vector.
 
-    left_bc, when given, is a callable t -> (values, mask) describing the
-    Dirichlet data at z = 0; mask marks the prescribed physical
-    components.  Damping belongs to the semi-infinite system only; the
+    left_mask marks the physical components prescribed at z = 0 (their
+    count must equal the number of incoming characteristics); left_bc is
+    then a callable t -> values giving all d boundary values, of which
+    only the masked ones are read.  Without them the left boundary is
+    transmissive.  Damping belongs to the semi-infinite system only; the
     finite domain always runs undamped.  rule, when given, is the GLR rule
     of spec; the modal operator and the initial projection share it.
     """
 
     def __init__(self, cfg: SWEConfig, mesh: Mesh1D, p: int, spec: BasisSpec,
-                 left_bc: Callable | None = None, rule: QuadratureRule | None = None):
+                 left_bc: Callable | None = None, left_mask=None,
+                 rule: QuadratureRule | None = None):
         if spec.kind != LAGUERRE_FUNCTIONS:
             raise ValueError("coupling requires the Laguerre function basis outside")
         self.cfg = cfg
@@ -143,33 +162,31 @@ class CoupledModel:
         self.left_bc = left_bc
         self.sys_dg = swe_system(replace(cfg, damping=None))
         self.sys_semi = swe_system(cfg)
-        self.dg_op = DGOperator(self.sys_dg, mesh, p)
+        self.dg_op = DGOperator(self.sys_dg, mesh, p, _boundary_mask(left_bc, left_mask))
         self.semi_op = LaguerreModalOperator(self.sys_semi, spec, rule)
         self.d = 2
         self._n_dg = mesh.n_elements * self.d * (p + 1)
-        self._dg_shape = (mesh.n_elements, self.d, p + 1)
+        self._dg_shape = self.dg_op.blocks_shape
         self._semi_shape = (self.d, spec.M + 1)
-        self._e_right = edge_values(p)[1]
 
     # --- flat packing -------------------------------------------------
     def pack(self, state: CoupledState) -> np.ndarray:
-        return np.concatenate([state.dg.coeffs.ravel(), state.semi.coeffs.ravel()])
+        return np.concatenate([_to_blocks(state.dg.coeffs).ravel(), state.semi.coeffs.ravel()])
 
     def unpack(self, y: np.ndarray, t: float = 0.0) -> CoupledState:
-        dg = DGState(y[: self._n_dg].reshape(self._dg_shape).copy(), self.p)
+        dg = DGState(_from_blocks(y[: self._n_dg].reshape(self._dg_shape), self.d), self.p)
         semi = ModalState(y[self._n_dg:].reshape(self._semi_shape).copy(), self.spec,
                           origin_shift=self.mesh.length)
         return CoupledState(dg, semi, t)
 
     # --- dynamics -----------------------------------------------------
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        dg_coeffs = y[: self._n_dg].reshape(self._dg_shape)
-        semi_coeffs = y[self._n_dg:].reshape(self._semi_shape)
-        values, mask = self.left_bc(t) if self.left_bc is not None else (None, None)
-        dg_trace = dg_coeffs[-1] @ self._e_right
-        semi_trace = semi_coeffs.sum(axis=1)
-        dg_dot = self.dg_op.rhs(dg_coeffs, t, values, mask, semi_trace)
-        semi_dot = self.semi_op.rhs(semi_coeffs, t, dg_trace)
+        dg = y[: self._n_dg].reshape(self._dg_shape)
+        semi = y[self._n_dg:].reshape(self._semi_shape)
+        values = self.left_bc(t) if self.left_bc is not None else None
+        dg_trace = _edge_trace(dg, -1, self.d, self.dg_op.e_right)
+        dg_dot = self.dg_op.rhs(dg, t, values, semi.sum(axis=1))
+        semi_dot = self.semi_op.rhs(semi, t, dg_trace)
         return np.concatenate([dg_dot.ravel(), semi_dot.ravel()])
 
     def initial_state(self, h_fun, u_fun) -> CoupledState:
@@ -182,7 +199,7 @@ class CoupledModel:
 
     def centers_view(self, y: np.ndarray) -> np.ndarray:
         """Cell-centre values of the DG part, shape (n_elements, d)."""
-        return eval_at_centers(DGState(y[: self._n_dg].reshape(self._dg_shape), self.p))
+        return eval_at_centers(self.unpack(y).dg)
 
     def max_speed(self) -> float:
         return abs(self.cfg.U) + self.cfg.wave_speed

@@ -5,7 +5,8 @@ mapped to the element, so element mass matrices are dz * I and no linear
 solve appears in the update.  Interfaces use the characteristic upwind
 flux F(qm, qp) = A+ qm + A- qp; the same closure handles the physical
 boundaries through ghost states (Dirichlet data on incoming
-characteristics, interior trace on outgoing ones).
+characteristics, interior trace on outgoing ones).  The left closure is
+a linear map built once per operator.
 """
 
 from __future__ import annotations
@@ -86,32 +87,72 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return xi, 2.0 * vecs[0] ** 2
 
 
-def characteristic_ghost(eig_triple, q_interior: np.ndarray,
-                         values: np.ndarray | None, mask: np.ndarray | None) -> np.ndarray:
-    """Exterior state for a left boundary: Dirichlet data on incoming
-    characteristics (lam > 0), interior trace on outgoing ones.
+def characteristic_closure(eig_triple, mask) -> tuple[np.ndarray, np.ndarray] | None:
+    """Left-boundary closure as a linear map: ghost = G_int q + G_bc values.
 
-    mask marks which physical components are prescribed; their count must
-    equal the number of incoming characteristics (or zero for a fully
-    transmissive boundary).
+    Dirichlet data enter on the incoming characteristics (lam > 0), the
+    interior trace q supplies the outgoing ones.  mask marks which of the
+    d physical components are prescribed; their count must equal the
+    number of incoming characteristics.  With S = V[mask, in]:
+    G_bc = V E_in S^-1 R_mask and
+    G_int = V (P_out - E_in S^-1 V[mask, out] R_out) V^-1.
+    Returns None for a transmissive boundary (no mask, or nothing masked).
     """
-    if mask is None or not np.any(mask):
-        return q_interior.copy()
+    if mask is None:
+        return None
     V, lam, Vinv = eig_triple
-    lam = np.real(np.asarray(lam))
-    incoming = lam > 0
+    d = V.shape[0]
     mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (d,):
+        raise ValueError(f"boundary mask has shape {mask.shape}, expected ({d},) for a {d}-component system")
+    if not mask.any():
+        return None
+    incoming = np.real(np.asarray(lam)) > 0
     n_pre = int(mask.sum())
     if n_pre != int(incoming.sum()):
         raise ValueError(
             f"{n_pre} Dirichlet components prescribed but {int(incoming.sum())} characteristics enter the domain"
         )
-    w = Vinv @ q_interior
-    rhs = np.asarray(values, dtype=float)[mask] - (V[np.ix_(mask, ~incoming)] @ w[~incoming])
-    w_in = np.linalg.solve(V[np.ix_(mask, incoming)], rhs)
-    w_ext = w.copy()
-    w_ext[incoming] = w_in
-    return V @ w_ext
+    s_inv = np.linalg.inv(V[np.ix_(mask, incoming)])
+    w_bc = np.zeros((d, d))            # characteristic data from the prescribed values
+    w_bc[np.ix_(incoming, mask)] = s_inv
+    w_int = np.diag((~incoming).astype(float))   # outgoing characteristics pass through
+    w_int[np.ix_(incoming, ~incoming)] = -s_inv @ V[np.ix_(mask, ~incoming)]
+    return V @ w_int @ Vinv, V @ w_bc
+
+
+def characteristic_ghost(closure, q_interior: np.ndarray, values: np.ndarray | None) -> np.ndarray:
+    """Exterior state for the left boundary from a characteristic_closure:
+    the interior trace itself for a transmissive boundary."""
+    if closure is None:
+        return q_interior.copy()
+    g_int, g_bc = closure
+    return g_int @ q_interior + g_bc @ values
+
+
+# The DG part of a flat state is stored component-major: a (d(p+1), n)
+# array whose column m holds element m's (d, p+1) coefficients, so the
+# block products act on all elements in one matrix product.  These
+# helpers are the only code that knows that layout.
+
+
+def _to_blocks(coeffs: np.ndarray) -> np.ndarray:
+    """(n, d, p+1) coefficients -> component-major (d(p+1), n) array."""
+    return np.ascontiguousarray(coeffs.reshape(coeffs.shape[0], -1).T)
+
+
+def _from_blocks(blocks: np.ndarray, d: int) -> np.ndarray:
+    """Component-major (d(p+1), n) array -> (n, d, p+1) coefficients."""
+    return np.ascontiguousarray(blocks.T).reshape(blocks.shape[1], d, -1)
+
+
+def _edge_trace(blocks: np.ndarray, element: int, d: int, edge: np.ndarray) -> np.ndarray:
+    """Value of one element at one end; edge is edge_values(p)[0] or [1].
+
+    The column is copied first: a product over the strided view rounds
+    differently from one over contiguous (d, p+1) coefficients.
+    """
+    return np.ascontiguousarray(blocks[:, element]).reshape(d, -1) @ edge
 
 
 class DGOperator:
@@ -122,18 +163,23 @@ class DGOperator:
     coeff_b is set, the per-element reaction term), a lower block (A+
     inflow from the left neighbour) and an upper block (A- inflow from
     the right neighbour), each acting on an element's flattened (d, p+1)
-    coefficients.  Only the two boundary ghost states are formed per call.
+    coefficients.  The left closure is built once too, from left_mask
+    (the prescribed components; None for a transmissive boundary).  Only
+    the two boundary ghost states are formed per call.  rhs acts on the
+    component-major coefficient array of shape blocks_shape.
     """
 
-    def __init__(self, sys: HyperbolicSystem, mesh: Mesh1D, p: int):
+    def __init__(self, sys: HyperbolicSystem, mesh: Mesh1D, p: int, left_mask=None):
         if not sys.is_constant:
             raise ValueError("the DG volume term assumes constant coefficients inside the finite domain")
         self.sys = sys
         self.mesh = mesh
         self.p = p
+        self.blocks_shape = (sys.d * (p + 1), mesh.n_elements)
         a = np.asarray(sys.coeff_a(None, 0.0), dtype=float)
-        self.eig = sys.eig(None, 0.0)
-        self.a_plus, self.a_minus = flux_split(a, self.eig)
+        eig = sys.eig(None, 0.0)
+        self.closure = characteristic_closure(eig, left_mask)
+        self.a_plus, self.a_minus = flux_split(a, eig)
         self.e_left, self.e_right = edge_values(p)
         ap, am, el, er = self.a_plus, self.a_minus, self.e_left, self.e_right
         diag = (np.kron(a, stiffness_coupling(p)) - np.kron(ap, np.outer(er, er))
@@ -149,24 +195,29 @@ class DGOperator:
         self.lower = np.kron(ap, np.outer(el, er)) / mesh.dz
         self.upper = -np.kron(am, np.outer(er, el)) / mesh.dz
 
-    def rhs(self, coeffs: np.ndarray, t: float,
-            left_values: np.ndarray | None, left_mask: np.ndarray | None,
+    def rhs(self, blocks: np.ndarray, t: float, left_values: np.ndarray | None,
             right_exterior: np.ndarray | None) -> np.ndarray:
-        n, d, P = coeffs.shape
-        c = coeffs.reshape(n, d * P)
-        if self.diag.ndim == 2:
-            out = c @ self.diag.T
-        else:
-            out = np.matmul(self.diag, c[:, :, None])[:, :, 0]
-        out[1:] += c[:-1] @ self.lower.T
-        out[:-1] += c[1:] @ self.upper.T
+        """Time derivative of component-major (d(p+1), n) coefficients.
 
-        ghost_left = characteristic_ghost(self.eig, coeffs[0] @ self.e_left, left_values, left_mask)
-        ghost_right = right_exterior if right_exterior is not None else coeffs[-1] @ self.e_right
+        left_values are the d boundary values (only the masked ones are
+        read); right_exterior is the exterior state at z = L, or None for
+        the interior trace.
+        """
+        d = self.sys.d
+        if self.diag.ndim == 2:
+            out = self.diag @ blocks
+        else:
+            out = np.matmul(self.diag, blocks.T[:, :, None])[:, :, 0].T
+        out[:, 1:] += self.lower @ blocks[:, :-1]
+        out[:, :-1] += self.upper @ blocks[:, 1:]
+
+        ghost_left = characteristic_ghost(self.closure, _edge_trace(blocks, 0, d, self.e_left), left_values)
+        if right_exterior is None:
+            right_exterior = _edge_trace(blocks, -1, d, self.e_right)
         dz = self.mesh.dz
-        out[0] += np.outer(self.a_plus @ ghost_left, self.e_left).ravel() / dz
-        out[-1] -= np.outer(self.a_minus @ ghost_right, self.e_right).ravel() / dz
-        return out.reshape(n, d, P)
+        out[:, 0] += ((self.a_plus @ ghost_left)[:, None] * self.e_left).ravel() / dz
+        out[:, -1] -= ((self.a_minus @ right_exterior)[:, None] * self.e_right).ravel() / dz
+        return out
 
 
 def project_dg(component_funcs, mesh: Mesh1D, p: int) -> DGState:

@@ -21,10 +21,20 @@ from .coupled import (
     CoupledModel,
     SigmoidDamping,
     SWEConfig,
+    _boundary_mask,
     run_simulation,
     swe_system,
 )
-from .dg import DGOperator, DGState, Mesh1D, edge_values, eval_at_centers, project_dg
+from .dg import (
+    DGOperator,
+    DGState,
+    Mesh1D,
+    _edge_trace,
+    _from_blocks,
+    _to_blocks,
+    eval_at_centers,
+    project_dg,
+)
 from .diagnostics import energy_error, error_norms, reflection_ratio
 from .quadrature import build_rule
 from .semiinf import HyperbolicSystem, default_rule, reconstruct
@@ -95,33 +105,38 @@ def resolve_config(defaults: dict, cfg: dict, scenario: str) -> dict:
 
 
 class DGOnlyModel:
-    """DG on [0, length]; transmissive or solid-wall right boundary."""
+    """DG on [0, length]; transmissive or solid-wall right boundary.
 
-    def __init__(self, cfg: SWEConfig, mesh: Mesh1D, p: int, left_bc=None,
+    left_bc and left_mask describe the left boundary as for CoupledModel:
+    a callable t -> values of all d components, and the mask of the
+    prescribed ones.  The flat state holds the DG coefficients in the
+    operator's component-major layout.
+    """
+
+    def __init__(self, cfg: SWEConfig, mesh: Mesh1D, p: int, left_bc=None, left_mask=None,
                  reflect_right: bool = False):
         self.cfg = cfg
         self.mesh = mesh
         self.p = p
         self.left_bc = left_bc
         self.reflect_right = reflect_right
-        self.op = DGOperator(swe_system(cfg), mesh, p)
-        self._e_right = edge_values(p)[1]
-        self._shape = (mesh.n_elements, 2, p + 1)
+        self.op = DGOperator(swe_system(cfg), mesh, p, _boundary_mask(left_bc, left_mask))
+        self._shape = self.op.blocks_shape
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        coeffs = y.reshape(self._shape)
-        values, mask = self.left_bc(t) if self.left_bc is not None else (None, None)
+        blocks = y.reshape(self._shape)
+        values = self.left_bc(t) if self.left_bc is not None else None
         right = None
         if self.reflect_right:
-            tr = coeffs[-1] @ self._e_right
+            tr = _edge_trace(blocks, -1, 2, self.op.e_right)
             right = np.array([tr[0], -tr[1]])
-        return self.op.rhs(coeffs, t, values, mask, right).ravel()
+        return self.op.rhs(blocks, t, values, right).ravel()
 
     def initial_state(self, h_fun, u_fun) -> np.ndarray:
-        return project_dg([h_fun, u_fun], self.mesh, self.p).coeffs.ravel()
+        return _to_blocks(project_dg([h_fun, u_fun], self.mesh, self.p).coeffs).ravel()
 
     def centers_view(self, y: np.ndarray) -> np.ndarray:
-        return eval_at_centers(DGState(y.reshape(self._shape), self.p))
+        return eval_at_centers(DGState(_from_blocks(y.reshape(self._shape), 2), self.p))
 
     def max_speed(self) -> float:
         return abs(self.cfg.U) + self.cfg.wave_speed
@@ -313,15 +328,15 @@ def _wavetrain_row(cfg: dict, amplitude: float, outdir: Path) -> dict:
     mask = np.array([False, True])
 
     def left_bc(t):
-        return np.array([0.0, amplitude * np.sin(2 * np.pi * t / period)]), mask
+        return np.array([0.0, amplitude * np.sin(2 * np.pi * t / period)])
 
     dt = cfg["cfl"] * mesh.dz / c
     n_steps = int(np.ceil(cfg["T"] / dt))
     dt = cfg["T"] / n_steps
 
-    model = CoupledModel(swe, mesh, int(cfg["p"]), spec, left_bc=left_bc, rule=rule)
+    model = CoupledModel(swe, mesh, int(cfg["p"]), spec, left_bc=left_bc, left_mask=mask, rule=rule)
     ref_len = cfg["L"] + c * cfg["T"] + cfg["ref_margin"]
-    ref = _reference(cfg, mesh, int(np.ceil(ref_len / mesh.dz)), left_bc=left_bc)
+    ref = _reference(cfg, mesh, int(np.ceil(ref_len / mesh.dz)), left_bc=left_bc, left_mask=mask)
 
     n = mesh.n_elements
     yT, num = _solve(model, model.pack(model.initial_state(_zero, _zero)), dt, n_steps, n)
@@ -416,20 +431,18 @@ def dg_advection_error(u: float, p: int, nx: int, T: float, cfl: float) -> float
     """L2 error of p-degree DG for q_t + u q_z = 0 with exact inflow data."""
     sys = _advection_system(u)
     mesh = Mesh1D(1.0, nx)
-    op = DGOperator(sys, mesh, p)
+    op = DGOperator(sys, mesh, p, left_mask=np.array([True]))
     exact = lambda x, t: np.sin(2 * np.pi * (x - u * t))
-    state0 = project_dg([lambda x: exact(x, 0.0)], mesh, p)
-    mask = np.array([True])
-    shape = state0.coeffs.shape
+    blocks0 = _to_blocks(project_dg([lambda x: exact(x, 0.0)], mesh, p).coeffs)
 
     def rhs(t, y):
-        return op.rhs(y.reshape(shape), t, np.array([exact(0.0, t)]), mask, None).ravel()
+        return op.rhs(y.reshape(blocks0.shape), t, np.array([exact(0.0, t)]), None).ravel()
 
     dt = cfl * mesh.dz / abs(u)
     n_steps = int(np.ceil(T / dt))
     dt = T / n_steps
-    yT = run_simulation(rhs, state0.coeffs.ravel(), 0.0, dt, n_steps)
-    num = eval_at_centers(DGState(yT.reshape(shape), p))[:, 0]
+    yT = run_simulation(rhs, blocks0.ravel(), 0.0, dt, n_steps)
+    num = eval_at_centers(DGState(_from_blocks(yT.reshape(blocks0.shape), 1), p))[:, 0]
     ref = exact(mesh.centers, T)
     return float(np.sqrt(mesh.dz * np.sum((num - ref) ** 2)))
 

@@ -13,7 +13,16 @@ from lagdg.coupled import (
     sigmoid_gamma,
     swe_system,
 )
-from lagdg.dg import DGOperator, Mesh1D, edge_values, project_dg
+from lagdg.dg import (
+    DGOperator,
+    DGState,
+    Mesh1D,
+    _from_blocks,
+    _to_blocks,
+    edge_values,
+    eval_at_centers,
+    project_dg,
+)
 from lagdg.scenarios import DGOnlyModel
 from lagdg.semiinf import LaguerreModalOperator
 
@@ -95,11 +104,11 @@ class TestRK3:
             rk3_step(lambda t, q: q * np.inf, np.array([1.0]), 0.0, 0.1)
 
 
-def small_model(damping=None, left_bc=None):
+def small_model(damping=None, left_bc=None, left_mask=None):
     cfg = SWEConfig(damping=damping)
     mesh = Mesh1D(100.0, 25)
     spec = BasisSpec("functions", 0.05, 14)
-    return CoupledModel(cfg, mesh, 1, spec, left_bc=left_bc), cfg, mesh, spec
+    return CoupledModel(cfg, mesh, 1, spec, left_bc=left_bc, left_mask=left_mask), cfg, mesh, spec
 
 
 class TestCoupledRhs:
@@ -108,21 +117,29 @@ class TestCoupledRhs:
         y = np.zeros(model._n_dg + 2 * 15)
         assert np.max(np.abs(model.rhs(0.0, y))) == 0.0
 
+    def test_boundary_data_and_mask_come_together(self):
+        # data without a mask would be ignored; a mask without data has nothing to impose
+        mask = np.array([False, True])
+        for kw in ({"left_bc": lambda t: np.zeros(2)}, {"left_mask": mask}):
+            with pytest.raises(ValueError):
+                small_model(**kw)
+            with pytest.raises(ValueError):
+                DGOnlyModel(SWEConfig(), Mesh1D(10.0, 4), 1, **kw)
+
     def test_interface_consistency_constant_dg_state(self):
         # constant DG field with the modal trace matching it: the DG
         # derivative vanishes (upwind flux consistency at the interface)
-        model, cfg, mesh, spec = small_model()
         q_star = np.array([0.4, 0.1])
+
+        def left_bc(t):
+            return q_star
+
+        model, cfg, mesh, spec = small_model(left_bc=left_bc, left_mask=np.array([False, True]))
         state = model.initial_state(lambda x: q_star[0] + 0.0 * x,
                                     lambda x: q_star[1] + 0.0 * x)
         semi = np.zeros((2, 15))
         semi[:, 0] = q_star  # trace = q_star
         state.semi.coeffs[:] = semi
-
-        def left_bc(t):
-            return q_star, np.array([False, True])
-
-        model.left_bc = left_bc
         y = model.pack(state)
         dot = model.rhs(0.0, y)
         assert np.max(np.abs(dot[: model._n_dg])) < 1e-12
@@ -151,11 +168,11 @@ class TestCoupledRhs:
         rng = np.random.default_rng(12)
         dg = rng.normal(size=(10, 2, 2)) * 0.01
         semi = rng.normal(size=(2, 10)) * 0.01
-        dg_dot = DGOperator(sys, mesh, 1).rhs(dg, 0.0, None, None, semi.sum(axis=1))
+        dg_dot = DGOperator(sys, mesh, 1).rhs(_to_blocks(dg), 0.0, None, semi.sum(axis=1))
         semi_dot = LaguerreModalOperator(sys, spec).rhs(semi, 0.0, dg[-1] @ edge_values(1)[1])
 
         model = CoupledModel(cfg, mesh, 1, spec)
-        y = np.concatenate([dg.ravel(), semi.ravel()])
+        y = np.concatenate([_to_blocks(dg).ravel(), semi.ravel()])
         dot = model.rhs(0.0, y)
         assert dot == pytest.approx(np.concatenate([dg_dot.ravel(), semi_dot.ravel()]), abs=1e-13)
 
@@ -207,21 +224,46 @@ class TestRunSimulation:
     def test_gaussian_translation_accuracy(self):
         # p=1 advection of a Gaussian: L2 error behaves like dz^2
         from lagdg.scenarios import _advection_system
-        from lagdg.dg import DGState, eval_at_centers
 
         sys = _advection_system(1.0)
         errs = []
         for nx in (50, 100):
             mesh = Mesh1D(1.0, nx)
-            op = DGOperator(sys, mesh, 1)
+            op = DGOperator(sys, mesh, 1, left_mask=np.array([True]))
             f0 = lambda x: np.exp(-(((x - 0.3) / 0.08) ** 2))
-            state = project_dg([f0], mesh, 1)
+            blocks = _to_blocks(project_dg([f0], mesh, 1).coeffs)
             dt = 0.1 * mesh.dz
             n = int(round(0.25 / dt))
-            rhs = lambda t, y: op.rhs(y.reshape(state.coeffs.shape), t,
-                                      np.array([0.0]), np.array([True]), None).ravel()
-            yT = run_simulation(rhs, state.coeffs.ravel(), 0.0, 0.25 / n, n)
-            num = eval_at_centers(DGState(yT.reshape(state.coeffs.shape), 1))[:, 0]
+            rhs = lambda t, y: op.rhs(y.reshape(blocks.shape), t, np.array([0.0]), None).ravel()
+            yT = run_simulation(rhs, blocks.ravel(), 0.0, 0.25 / n, n)
+            num = eval_at_centers(DGState(_from_blocks(yT.reshape(blocks.shape), 1), 1))[:, 0]
             ref = f0(mesh.centers - 0.25)
             errs.append(np.sqrt(mesh.dz * np.sum((num - ref) ** 2)))
         assert errs[1] < errs[0] / 3.0
+
+
+class TestLayout:
+    """The flat state stores DG coefficients component-major; DGState and
+    the cell-centre output keep their (n, d, p+1) and (n, d) shapes."""
+
+    h = staticmethod(lambda x: 0.1 * np.exp(-(((x - 40.0) / 9.0) ** 2)) + 0.01 * x)
+    u = staticmethod(lambda x: 0.02 * np.sin(0.2 * x))
+
+    @pytest.mark.parametrize("p", [0, 1, 3])
+    def test_coupled_pack_unpack_round_trip(self, p):
+        model = CoupledModel(SWEConfig(), Mesh1D(100.0, 7), p, BasisSpec("functions", 0.05, 9))
+        state = model.initial_state(self.h, self.u)
+        y = model.pack(state)
+        back = model.unpack(y)
+        assert np.array_equal(back.dg.coeffs, state.dg.coeffs)
+        assert np.array_equal(back.semi.coeffs, state.semi.coeffs)
+        assert np.array_equal(model.pack(back), y)
+        assert np.array_equal(model.centers_view(y), eval_at_centers(back.dg))
+
+    @pytest.mark.parametrize("p", [0, 1, 3])
+    def test_dg_only_centers_match_projection(self, p):
+        mesh = Mesh1D(100.0, 7)
+        model = DGOnlyModel(SWEConfig(), mesh, p)
+        y = model.initial_state(self.h, self.u)
+        expect = eval_at_centers(project_dg([self.h, self.u], mesh, p))
+        assert np.array_equal(model.centers_view(y), expect)

@@ -6,6 +6,9 @@ from lagdg.dg import (
     DGOperator,
     DGState,
     Mesh1D,
+    _from_blocks,
+    _to_blocks,
+    characteristic_closure,
     characteristic_ghost,
     edge_values,
     eval_at,
@@ -48,7 +51,8 @@ class TestRhs:
         mesh = Mesh1D(10.0, 16)
         q_star = np.array([0.7, -0.2])
         state = project_dg([lambda z: q_star[0] + 0.0 * z, lambda z: q_star[1] + 0.0 * z], mesh, 1)
-        rhs = DGOperator(sys, mesh, 1).rhs(state.coeffs, 0.0, q_star, np.array([False, True]), q_star)
+        op = DGOperator(sys, mesh, 1, left_mask=np.array([False, True]))
+        rhs = op.rhs(_to_blocks(state.coeffs), 0.0, q_star, q_star)
         assert np.max(np.abs(rhs)) < 1e-13
 
     def test_p0_reduces_to_upwind_finite_volume(self):
@@ -56,7 +60,8 @@ class TestRhs:
         mesh = Mesh1D(1.0, 10)
         rng = np.random.default_rng(1)
         q = rng.normal(size=(10, 1, 1))
-        rhs = DGOperator(sys, mesh, 0).rhs(q, 0.0, np.array([0.3]), np.array([True]), None)
+        op = DGOperator(sys, mesh, 0, left_mask=np.array([True]))
+        rhs = _from_blocks(op.rhs(_to_blocks(q), 0.0, np.array([0.3]), None), 1)
         vals = q[:, 0, 0]
         expect = np.empty(10)
         expect[0] = -(vals[0] - 0.3) / mesh.dz
@@ -77,22 +82,21 @@ class TestRhs:
         mesh = Mesh1D(1.0, 40)
         f = lambda z: np.exp(-(((z - 0.35) / 0.05) ** 2))
         state = project_dg([f], mesh, 1)
-        op = DGOperator(sys, mesh, 1)
-        rhs = op.rhs(state.coeffs, 0.0, np.array([0.0]), np.array([True]), None)
+        op = DGOperator(sys, mesh, 1, left_mask=np.array([True]))
+        rhs = _from_blocks(op.rhs(_to_blocks(state.coeffs), 0.0, np.array([0.0]), None), 1)
         # total integral rate = dz * sum of constant-mode rates
         assert abs(mesh.dz * rhs[:, 0, 0].sum()) < 1e-10
 
     def test_linearity(self):
         sys = swe_system(SWEConfig())
         mesh = Mesh1D(5.0, 9)
-        op = DGOperator(sys, mesh, 1)
+        op = DGOperator(sys, mesh, 1, left_mask=np.array([False, False]))
         rng = np.random.default_rng(3)
-        a = rng.normal(size=(9, 2, 2))
-        b = rng.normal(size=(9, 2, 2))
+        a = _to_blocks(rng.normal(size=(9, 2, 2)))
+        b = _to_blocks(rng.normal(size=(9, 2, 2)))
         zero = np.zeros(2)
-        mask = np.array([False, False])
-        lhs = op.rhs(3.0 * a + b, 0.0, zero, mask, None)
-        rhs = 3.0 * op.rhs(a, 0.0, zero, mask, None) + op.rhs(b, 0.0, zero, mask, None)
+        lhs = op.rhs(3.0 * a + b, 0.0, zero, None)
+        rhs = 3.0 * op.rhs(a, 0.0, zero, None) + op.rhs(b, 0.0, zero, None)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     @pytest.mark.parametrize("p", [0, 1, 3])
@@ -105,8 +109,10 @@ class TestRhs:
                                   coeff_b=lambda q, z: -gamma * np.eye(2))
         mesh = Mesh1D(30.0, 7)
         q = np.random.default_rng(p).normal(size=(7, 2, p + 1))
-        args = (0.0, np.array([0.0, 0.2]), np.array([False, True]), None)
-        diff = DGOperator(damped, mesh, p).rhs(q, *args) - DGOperator(base, mesh, p).rhs(q, *args)
+        args = (_to_blocks(q), 0.0, np.array([0.0, 0.2]), None)
+        mask = np.array([False, True])
+        diff = _from_blocks(DGOperator(damped, mesh, p, mask).rhs(*args)
+                            - DGOperator(base, mesh, p, mask).rhs(*args), 2)
         assert np.max(np.abs(diff + gamma * q)) <= 1e-13 * gamma * np.max(np.abs(q))
 
     def test_convergence_order_two(self):
@@ -136,8 +142,8 @@ class TestTraceAndGhost:
         sys = swe_system(SWEConfig())
         q_int = np.array([0.23, -0.11])
         u_bc = 0.4
-        ghost = characteristic_ghost(sys.eig(None, 0.0), q_int,
-                                     np.array([0.0, u_bc]), np.array([False, True]))
+        closure = characteristic_closure(sys.eig(None, 0.0), np.array([False, True]))
+        ghost = characteristic_ghost(closure, q_int, np.array([0.0, u_bc]))
         # the upwind interface state takes incoming characteristics from the
         # ghost and outgoing from the interior: its velocity must be u_bc
         V, lam, Vinv = sys.eig(None, 0.0)
@@ -150,14 +156,22 @@ class TestTraceAndGhost:
     def test_ghost_transmissive_default(self):
         sys = swe_system(SWEConfig())
         q_int = np.array([1.0, 2.0])
-        ghost = characteristic_ghost(sys.eig(None, 0.0), q_int, None, None)
+        closure = characteristic_closure(sys.eig(None, 0.0), None)
+        ghost = characteristic_ghost(closure, q_int, None)
         assert ghost == pytest.approx(q_int)
 
-    def test_ghost_count_mismatch(self):
+    @pytest.mark.parametrize("mask", [
+        [True, True],            # two prescribed, one incoming characteristic
+        [True],                  # too short: would prescribe h silently
+        [False, True, False],    # too long
+        [False, False, True],    # too long, marking a component that does not exist
+    ], ids=["count", "short", "long", "long-marked"])
+    def test_ghost_count_mismatch(self, mask):
         sys = swe_system(SWEConfig())
         with pytest.raises(ValueError):
-            characteristic_ghost(sys.eig(None, 0.0), np.zeros(2),
-                                 np.array([1.0, 1.0]), np.array([True, True]))
+            characteristic_closure(sys.eig(None, 0.0), np.array(mask))
+        with pytest.raises(ValueError):
+            DGOperator(sys, Mesh1D(1.0, 3), 1, left_mask=np.array(mask))
 
     def test_mass_matrix_orthonormality(self):
         # int phi_p phi_q over the element equals dz * delta_pq

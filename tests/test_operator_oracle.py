@@ -17,7 +17,9 @@ from lagdg.coupled import CoupledModel, SigmoidDamping, SWEConfig, swe_system
 from lagdg.dg import (
     DGOperator,
     Mesh1D,
-    characteristic_ghost,
+    _from_blocks,
+    _to_blocks,
+    characteristic_closure,
     edge_values,
     gauss_legendre,
     stiffness_coupling,
@@ -33,6 +35,21 @@ from lagdg.semiinf import (
 RTOL = 1e-13
 
 
+def reference_ghost(eig, q, values, mask):
+    """Left ghost state solved per call: Dirichlet data on the incoming
+    characteristics (lam > 0), the interior trace q on the outgoing ones."""
+    if mask is None or not np.any(mask):
+        return q.copy()
+    V, lam, Vinv = eig
+    incoming = np.real(np.asarray(lam)) > 0
+    mask = np.asarray(mask, dtype=bool)
+    w = Vinv @ q
+    rhs = np.asarray(values, dtype=float)[mask] - (V[np.ix_(mask, ~incoming)] @ w[~incoming])
+    w_ext = w.copy()
+    w_ext[incoming] = np.linalg.solve(V[np.ix_(mask, incoming)], rhs)
+    return V @ w_ext
+
+
 def reference_dg_rhs(sys, mesh, p, coeffs, left_values, left_mask, right_exterior):
     a = np.asarray(sys.coeff_a(None, 0.0), dtype=float)
     eig = sys.eig(None, 0.0)
@@ -40,7 +57,7 @@ def reference_dg_rhs(sys, mesh, p, coeffs, left_values, left_mask, right_exterio
     e_left, e_right = edge_values(p)
     q_right = coeffs @ e_right
     q_left = coeffs @ e_left
-    ghost_left = characteristic_ghost(eig, q_left[0], left_values, left_mask)
+    ghost_left = reference_ghost(eig, q_left[0], left_values, left_mask)
     ghost_right = right_exterior if right_exterior is not None else q_right[-1]
     qm = np.vstack([ghost_left[None, :], q_right])
     qp = np.vstack([q_left, ghost_right[None, :]])
@@ -88,15 +105,16 @@ def reference_modal_rhs(sys, spec, coeffs, boundary_g):
     return out
 
 
-def reference_coupled_rhs(model, t, y):
-    n_dg = model._n_dg
-    dg = y[:n_dg].reshape(model.mesh.n_elements, 2, model.p + 1)
+def reference_coupled_rhs(model, t, y, mask):
+    n_dg, n = model._n_dg, model.mesh.n_elements
+    # the flat DG part is component-major: (d(p+1), n)
+    dg = y[:n_dg].reshape(-1, n).T.reshape(n, 2, model.p + 1)
     semi = y[n_dg:].reshape(2, model.spec.M + 1)
-    values, mask = model.left_bc(t) if model.left_bc is not None else (None, None)
+    values = model.left_bc(t) if model.left_bc is not None else None
     dg_dot = reference_dg_rhs(replace(model.sys_semi, coeff_b=None), model.mesh, model.p, dg,
                               values, mask, semi.sum(axis=1))
     semi_dot = reference_modal_rhs(model.sys_semi, model.spec, semi, dg[-1] @ edge_values(model.p)[1])
-    return np.concatenate([dg_dot.ravel(), semi_dot.ravel()])
+    return np.concatenate([dg_dot.reshape(n, -1).T.ravel(), semi_dot.ravel()])
 
 
 def assert_close(got, expect):
@@ -119,7 +137,6 @@ MASK_U = np.array([False, True])
 def test_dg_rhs_matches_reference(p, case):
     sys = swe_system(SWE_CASES[case])
     mesh = Mesh1D(100.0, 13)
-    op = DGOperator(sys, mesh, p)
     rng = np.random.default_rng(p)
     q = rng.normal(size=(13, 2, p + 1))
     tr = q[-1] @ edge_values(p)[1]
@@ -129,8 +146,28 @@ def test_dg_rhs_matches_reference(p, case):
         (None, None, np.array([tr[0], -tr[1]])),              # reflective right wall
     ]
     for values, mask, right in boundaries:
-        assert_close(op.rhs(q, 0.0, values, mask, right),
+        op = DGOperator(sys, mesh, p, left_mask=mask)
+        assert_close(_from_blocks(op.rhs(_to_blocks(q), 0.0, values, right), 2),
                      reference_dg_rhs(sys, mesh, p, q, values, mask, right))
+
+
+GHOST_CASES = {
+    **{f"swe-U{U}-{name}": (swe_system(SWEConfig(U=U)).eig(None, 0.0), mask)
+       for U in (0.0, 0.5, -0.5) for name, mask in (("u", MASK_U), ("h", np.array([True, False])))},
+    "advection": ((np.eye(1), np.array([0.7]), np.eye(1)), np.array([True])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GHOST_CASES))
+def test_closure_map_matches_reference_ghost(case):
+    eig, mask = GHOST_CASES[case]
+    g_int, g_bc = characteristic_closure(eig, mask)
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        q, values = rng.normal(size=len(mask)), rng.normal(size=len(mask))
+        expect = reference_ghost(eig, q, values, mask)
+        got = g_int @ q + g_bc @ values
+        assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
 
 
 def variable_system(with_derivative: bool) -> HyperbolicSystem:
@@ -195,10 +232,10 @@ def test_modal_rhs_scalar_variable_path_matches_reference():
 @pytest.mark.parametrize("case", sorted(SWE_CASES))
 def test_coupled_rhs_matches_reference(p, case):
     def left_bc(t):
-        return np.array([0.0, 0.2 * np.sin(t)]), MASK_U
+        return np.array([0.0, 0.2 * np.sin(t)])
 
     spec = BasisSpec("functions", 0.05, 14)
-    for bc in (None, left_bc):
-        model = CoupledModel(SWE_CASES[case], Mesh1D(100.0, 11), p, spec, left_bc=bc)
+    for bc, mask in ((None, None), (left_bc, MASK_U)):
+        model = CoupledModel(SWE_CASES[case], Mesh1D(100.0, 11), p, spec, left_bc=bc, left_mask=mask)
         y = np.random.default_rng(p + 10).normal(size=model._n_dg + 2 * 15)
-        assert_close(model.rhs(0.7, y), reference_coupled_rhs(model, 0.7, y))
+        assert_close(model.rhs(0.7, y), reference_coupled_rhs(model, 0.7, y, mask))
