@@ -93,21 +93,9 @@ def swe_system(cfg: SWEConfig) -> HyperbolicSystem:
     V = np.array([[H, H], [c, -c]])
     Vinv = np.array([[c, H], [c, -H]]) / (2.0 * H * c)
     lam = np.array([U + c, U - c])
-    if cfg.damping is not None:
-        damping = cfg.damping
-
-        def coeff_b(q, z):
-            return -sigmoid_gamma(damping, z) * np.eye(2)
-
-    else:
-        coeff_b = None
-    return HyperbolicSystem(
-        d=2,
-        coeff_a=lambda q, z: a,
-        eig=lambda q, z: (V, lam, Vinv),
-        coeff_b=coeff_b,
-        is_constant=True,
-    )
+    damping = cfg.damping
+    b = None if damping is None else (lambda z: -sigmoid_gamma(damping, z) * np.eye(2))
+    return HyperbolicSystem(a, (V, lam, Vinv), b)
 
 
 @dataclass(eq=False)
@@ -131,23 +119,14 @@ def rk3_step(rhs: Callable, y: np.ndarray, t: float, dt: float) -> np.ndarray:
     return out
 
 
-def _boundary_mask(left_bc, left_mask):
-    """left_mask, once checked that boundary data and mask come together."""
-    if (left_bc is None) != (left_mask is None):
-        raise ValueError("left_bc and left_mask must be given together")
-    return left_mask
-
-
 class CoupledModel:
     """Prepared coupled right-hand side over a flat state vector.
 
-    left_mask marks the physical components prescribed at z = 0 (their
-    count must equal the number of incoming characteristics); left_bc is
-    then a callable t -> values giving all d boundary values, of which
-    only the masked ones are read.  Without them the left boundary is
-    transmissive.  Damping belongs to the semi-infinite system only; the
-    finite domain always runs undamped.  rule, when given, is the GLR rule
-    of spec; the modal operator and the initial projection share it.
+    left_bc and left_mask go to the DG operator, which owns the left
+    boundary (see DGOperator); without them it is transmissive.  Damping
+    belongs to the semi-infinite system only; the finite domain always
+    runs undamped.  rule, when given, is the GLR rule of spec; the modal
+    operator and the initial projection share it.
     """
 
     def __init__(self, cfg: SWEConfig, mesh: Mesh1D, p: int, spec: BasisSpec,
@@ -159,10 +138,9 @@ class CoupledModel:
         self.mesh = mesh
         self.p = p
         self.spec = spec
-        self.left_bc = left_bc
         self.sys_dg = swe_system(replace(cfg, damping=None))
         self.sys_semi = swe_system(cfg)
-        self.dg_op = DGOperator(self.sys_dg, mesh, p, _boundary_mask(left_bc, left_mask))
+        self.dg_op = DGOperator(self.sys_dg, mesh, p, left_bc, left_mask)
         self.semi_op = LaguerreModalOperator(self.sys_semi, spec, rule)
         self.d = 2
         self._n_dg = mesh.n_elements * self.d * (p + 1)
@@ -183,9 +161,8 @@ class CoupledModel:
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
         dg = y[: self._n_dg].reshape(self._dg_shape)
         semi = y[self._n_dg:].reshape(self._semi_shape)
-        values = self.left_bc(t) if self.left_bc is not None else None
         dg_trace = _edge_trace(dg, -1, self.d, self.dg_op.e_right)
-        dg_dot = self.dg_op.rhs(dg, t, values, semi.sum(axis=1))
+        dg_dot = self.dg_op.rhs(dg, t, semi.sum(axis=1))
         semi_dot = self.semi_op.rhs(semi, t, dg_trace)
         return np.concatenate([dg_dot.ravel(), semi_dot.ravel()])
 

@@ -156,62 +156,54 @@ def _edge_trace(blocks: np.ndarray, element: int, d: int, edge: np.ndarray) -> n
 
 
 class DGOperator:
-    """Prepared DG right-hand side for a constant-coefficient system.
+    """Prepared DG right-hand side for an undamped constant-coefficient system.
 
     The interior operator is block tridiagonal over elements and is built
-    once: a diagonal block (volume term, both own-edge fluxes and, when
-    coeff_b is set, the per-element reaction term), a lower block (A+
-    inflow from the left neighbour) and an upper block (A- inflow from
-    the right neighbour), each acting on an element's flattened (d, p+1)
-    coefficients.  The left closure is built once too, from left_mask
-    (the prescribed components; None for a transmissive boundary).  Only
-    the two boundary ghost states are formed per call.  rhs acts on the
-    component-major coefficient array of shape blocks_shape.
+    once: a diagonal block (volume term and both own-edge fluxes), a lower
+    block (A+ inflow from the left neighbour) and an upper block (A- inflow
+    from the right neighbour), each acting on an element's flattened
+    (d, p+1) coefficients.  The operator owns its left boundary: left_mask
+    marks the prescribed components (their count must equal the number of
+    incoming characteristics) and left_bc is a callable t -> values of all
+    d components, of which only the masked ones are read.  Both or neither
+    are given; without them the boundary is transmissive.  The closure is
+    built once; only the two boundary ghost states are formed per call.
+    rhs acts on the component-major coefficient array of shape
+    blocks_shape.
     """
 
-    def __init__(self, sys: HyperbolicSystem, mesh: Mesh1D, p: int, left_mask=None):
-        if not sys.is_constant:
-            raise ValueError("the DG volume term assumes constant coefficients inside the finite domain")
+    def __init__(self, sys: HyperbolicSystem, mesh: Mesh1D, p: int, left_bc=None, left_mask=None):
+        if sys.b is not None:
+            raise ValueError("the DG operator runs undamped: damping belongs to the semi-infinite part")
+        if (left_bc is None) != (left_mask is None):
+            raise ValueError("left_bc and left_mask must be given together")
         self.sys = sys
         self.mesh = mesh
         self.p = p
         self.blocks_shape = (sys.d * (p + 1), mesh.n_elements)
-        a = np.asarray(sys.coeff_a(None, 0.0), dtype=float)
-        eig = sys.eig(None, 0.0)
-        self.closure = characteristic_closure(eig, left_mask)
-        self.a_plus, self.a_minus = flux_split(a, eig)
+        self._left_bc = left_bc
+        self._closure = characteristic_closure(sys.eig, left_mask)
+        self.a_plus, self.a_minus = flux_split(sys.a, sys.eig)
         self.e_left, self.e_right = edge_values(p)
         ap, am, el, er = self.a_plus, self.a_minus, self.e_left, self.e_right
-        diag = (np.kron(a, stiffness_coupling(p)) - np.kron(ap, np.outer(er, er))
-                + np.kron(am, np.outer(el, el)))
-        if sys.coeff_b is not None:
-            xi, wq = gauss_legendre(p + 2)
-            phi = np.array([[np.sqrt(2 * l + 1) * legendre_eval(l, x) for x in xi] for l in range(p + 1)])
-            zq = mesh.centers[:, None] + 0.5 * mesh.dz * xi[None, :]
-            bq = np.array([[np.asarray(sys.coeff_b(None, z), dtype=float) for z in row] for row in zq])
-            reaction = 0.5 * mesh.dz * np.einsum("mgkl,ig,jg,g->mkilj", bq, phi, phi, wq)
-            diag = diag + reaction.reshape(mesh.n_elements, *diag.shape)
-        self.diag = diag / mesh.dz
+        self.diag = (np.kron(sys.a, stiffness_coupling(p)) - np.kron(ap, np.outer(er, er))
+                     + np.kron(am, np.outer(el, el))) / mesh.dz
         self.lower = np.kron(ap, np.outer(el, er)) / mesh.dz
         self.upper = -np.kron(am, np.outer(er, el)) / mesh.dz
 
-    def rhs(self, blocks: np.ndarray, t: float, left_values: np.ndarray | None,
-            right_exterior: np.ndarray | None) -> np.ndarray:
+    def rhs(self, blocks: np.ndarray, t: float, right_exterior: np.ndarray | None) -> np.ndarray:
         """Time derivative of component-major (d(p+1), n) coefficients.
 
-        left_values are the d boundary values (only the masked ones are
-        read); right_exterior is the exterior state at z = L, or None for
-        the interior trace.
+        right_exterior is the exterior state at z = L, or None for the
+        interior trace.
         """
         d = self.sys.d
-        if self.diag.ndim == 2:
-            out = self.diag @ blocks
-        else:
-            out = np.matmul(self.diag, blocks.T[:, :, None])[:, :, 0].T
+        out = self.diag @ blocks
         out[:, 1:] += self.lower @ blocks[:, :-1]
         out[:, :-1] += self.upper @ blocks[:, 1:]
 
-        ghost_left = characteristic_ghost(self.closure, _edge_trace(blocks, 0, d, self.e_left), left_values)
+        values = self._left_bc(t) if self._left_bc is not None else None
+        ghost_left = characteristic_ghost(self._closure, _edge_trace(blocks, 0, d, self.e_left), values)
         if right_exterior is None:
             right_exterior = _edge_trace(blocks, -1, d, self.e_right)
         dz = self.mesh.dz

@@ -21,7 +21,6 @@ from .coupled import (
     CoupledModel,
     SigmoidDamping,
     SWEConfig,
-    _boundary_mask,
     run_simulation,
     swe_system,
 )
@@ -107,10 +106,9 @@ def resolve_config(defaults: dict, cfg: dict, scenario: str) -> dict:
 class DGOnlyModel:
     """DG on [0, length]; transmissive or solid-wall right boundary.
 
-    left_bc and left_mask describe the left boundary as for CoupledModel:
-    a callable t -> values of all d components, and the mask of the
-    prescribed ones.  The flat state holds the DG coefficients in the
-    operator's component-major layout.
+    left_bc and left_mask go to the DG operator, which owns the left
+    boundary (see DGOperator).  The flat state holds the DG coefficients
+    in the operator's component-major layout.
     """
 
     def __init__(self, cfg: SWEConfig, mesh: Mesh1D, p: int, left_bc=None, left_mask=None,
@@ -118,19 +116,17 @@ class DGOnlyModel:
         self.cfg = cfg
         self.mesh = mesh
         self.p = p
-        self.left_bc = left_bc
         self.reflect_right = reflect_right
-        self.op = DGOperator(swe_system(cfg), mesh, p, _boundary_mask(left_bc, left_mask))
+        self.op = DGOperator(swe_system(cfg), mesh, p, left_bc, left_mask)
         self._shape = self.op.blocks_shape
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
         blocks = y.reshape(self._shape)
-        values = self.left_bc(t) if self.left_bc is not None else None
         right = None
         if self.reflect_right:
             tr = _edge_trace(blocks, -1, 2, self.op.e_right)
             right = np.array([tr[0], -tr[1]])
-        return self.op.rhs(blocks, t, values, right).ravel()
+        return self.op.rhs(blocks, t, right).ravel()
 
     def initial_state(self, h_fun, u_fun) -> np.ndarray:
         return _to_blocks(project_dg([h_fun, u_fun], self.mesh, self.p).coeffs).ravel()
@@ -418,25 +414,19 @@ CONVERGENCE_DEFAULTS = {
 
 
 def _advection_system(u: float) -> HyperbolicSystem:
-    a = np.array([[u]])
-    sgn = np.array([u])
-    return HyperbolicSystem(
-        d=1, coeff_a=lambda q, z: a,
-        eig=lambda q, z: (np.eye(1), sgn, np.eye(1)),
-        is_constant=True,
-    )
+    return HyperbolicSystem(np.array([[u]]), (np.eye(1), np.array([u]), np.eye(1)))
 
 
 def dg_advection_error(u: float, p: int, nx: int, T: float, cfl: float) -> float:
     """L2 error of p-degree DG for q_t + u q_z = 0 with exact inflow data."""
     sys = _advection_system(u)
     mesh = Mesh1D(1.0, nx)
-    op = DGOperator(sys, mesh, p, left_mask=np.array([True]))
     exact = lambda x, t: np.sin(2 * np.pi * (x - u * t))
+    op = DGOperator(sys, mesh, p, lambda t: np.array([exact(0.0, t)]), np.array([True]))
     blocks0 = _to_blocks(project_dg([lambda x: exact(x, 0.0)], mesh, p).coeffs)
 
     def rhs(t, y):
-        return op.rhs(y.reshape(blocks0.shape), t, np.array([exact(0.0, t)]), None).ravel()
+        return op.rhs(y.reshape(blocks0.shape), t, None).ravel()
 
     dt = cfl * mesh.dz / abs(u)
     n_steps = int(np.ceil(T / dt))

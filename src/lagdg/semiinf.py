@@ -1,12 +1,12 @@
 """Weak modal scaled-Laguerre-function discretization of hyperbolic systems.
 
-A d-component system q_t + A(q,z) q_z = B(q,z) q on [0, inf) (local
-coordinate; the physical origin may sit at origin_shift) is expanded per
-component in scaled Laguerre functions.  Incoming characteristics are
-forced through A+ by Dirichlet data g(t); outgoing ones feed back through
-A- acting on the boundary trace sum_j q_j.  Constant-coefficient systems
-reduce to triangular mode coupling; variable coefficients are handled by
-GLR quadrature of the coefficient integrals.
+A d-component system q_t + A q_z = B(z) q on [0, inf) (local coordinate;
+the physical origin may sit at origin_shift) is expanded per component in
+scaled Laguerre functions.  Incoming characteristics are forced through
+A+ by Dirichlet data g(t); outgoing ones feed back through A- acting on
+the boundary trace sum_j q_j.  The constant A gives triangular mode
+coupling; the reaction B(z) enters through GLR quadrature of its
+integrals.
 """
 
 from __future__ import annotations
@@ -19,25 +19,29 @@ import numpy as np
 from .basis import LAGUERRE_FUNCTIONS, BasisSpec, laguerre_fun_table
 from .quadrature import NODES_GLR, QuadratureRule, build_rule
 
-_FD_STEP_SCALE = 1e-6
-
 
 @dataclass(frozen=True, eq=False)
 class HyperbolicSystem:
-    """Coefficients and eigenstructure of q_t + A(q,z) q_z = B(q,z) q.
+    """Coefficients and eigenstructure of q_t + A q_z = B(z) q.
 
-    coeff_a / coeff_b / eig take (q, z); linear systems ignore q (callers
-    pass None).  eig returns (V, lam, Vinv) with lam the real eigenvalue
-    vector.  coeff_b may be None for B = 0; coeff_a_dz optionally supplies
-    dA/dz, else central differences are used on the variable path.
+    a is the constant (d, d) matrix A and eig its eigenstructure
+    (V, lam, Vinv), with lam the real eigenvalue vector.  b is None for
+    B = 0, else a callable z -> (d, d) matrix.
     """
 
-    d: int
-    coeff_a: Callable
-    eig: Callable
-    coeff_b: Callable | None = None
-    coeff_a_dz: Callable | None = None
-    is_constant: bool = False
+    a: np.ndarray
+    eig: tuple
+    b: Callable | None = None
+
+    def __post_init__(self):
+        a = np.asarray(self.a, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"a must be a (d, d) matrix, got shape {a.shape}")
+        object.__setattr__(self, "a", a)
+
+    @property
+    def d(self) -> int:
+        return self.a.shape[0]
 
 
 @dataclass(eq=False)
@@ -105,10 +109,10 @@ class LaguerreModalOperator:
     """Prepared right-hand side of the modal semi-discretization.
 
     Builds the interior operator once as one (d(M+1), d(M+1)) matrix K over
-    the flattened coefficients: -beta a0 (x) T for constant coefficients,
-    the GLR-quadrature coefficient integrals otherwise, plus the projected
-    reaction term when B is set.  Boundary data g(t) enters through A+
-    evaluated at the local origin; the outgoing trace feeds back through A-.
+    the flattened coefficients: -beta a (x) T, plus the GLR-quadrature
+    projection of the reaction term when B is set.  Boundary data g(t)
+    enters through A+ at the local origin; the outgoing trace feeds back
+    through A-.
     """
 
     def __init__(self, sys: HyperbolicSystem, spec: BasisSpec,
@@ -118,42 +122,18 @@ class LaguerreModalOperator:
         self.sys = sys
         self.spec = spec
         self.rule = rule if rule is not None else default_rule(spec)
-        beta, M, d = spec.beta, spec.M, sys.d
-        n = d * (M + 1)
-
-        a0 = np.asarray(sys.coeff_a(None, 0.0), dtype=float)
-        if a0.shape != (d, d):
-            raise ValueError("coeff_a must return a (d, d) matrix")
-        self.a_plus, self.a_minus = flux_split(a0, sys.eig(None, 0.0))
-
-        phi = basis_values_at_nodes(spec, self.rule)
-        w = self.rule.weights
-        z = self.rule.nodes
-
-        def projected(vals):
-            """K-shaped matrix of sum_n w_n vals_n[k, l] Lhat_i(z_n) Lhat_j(z_n)."""
-            return np.einsum("nkl,in,jn->kilj", vals * w[:, None, None], phi, phi).reshape(n, n)
+        beta, M = spec.beta, spec.M
+        self.a_plus, self.a_minus = flux_split(sys.a, sys.eig)
 
         T = np.tril(np.ones((M + 1, M + 1)), -1)  # advective mode coupling: strictly
         np.fill_diagonal(T, 0.5)                  # lower ones, 1/2 on the diagonal
-        if sys.is_constant:
-            K = np.kron(-beta * a0, T)
-        else:
-            avals = np.array([np.asarray(sys.coeff_a(None, zz), dtype=float) for zz in z])
-            if sys.coeff_a_dz is not None:
-                davals = np.array([np.asarray(sys.coeff_a_dz(None, zz), dtype=float) for zz in z])
-            else:
-                h = _FD_STEP_SCALE / beta
-                davals = np.array([
-                    (np.asarray(sys.coeff_a(None, zz + h), dtype=float)
-                     - np.asarray(sys.coeff_a(None, max(zz - h, 0.0)), dtype=float))
-                    / (h + min(zz, h))
-                    for zz in z
-                ])
-            K = -beta**2 * (np.kron(np.eye(d), T) @ projected(avals)) + beta * projected(davals)
-        if sys.coeff_b is not None:
-            bvals = np.array([np.asarray(sys.coeff_b(None, zz), dtype=float) for zz in z])
-            K += beta * projected(bvals)
+        K = np.kron(-beta * sys.a, T)
+        if sys.b is not None:
+            # sum_n w_n B(z_n)[k, l] Lhat_i(z_n) Lhat_j(z_n), laid out like K
+            phi = basis_values_at_nodes(spec, self.rule)
+            bvals = np.array([np.asarray(sys.b(zz), dtype=float) for zz in self.rule.nodes])
+            w = self.rule.weights
+            K += beta * np.einsum("nkl,in,jn->kilj", bvals * w[:, None, None], phi, phi).reshape(K.shape)
         self.K = K
 
     def rhs(self, coeffs: np.ndarray, t: float, boundary_g: np.ndarray) -> np.ndarray:

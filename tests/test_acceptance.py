@@ -271,7 +271,7 @@ def test_criterion_9_oracle_equivalences():
     q = rng.normal(size=(2, M + 1))
     gvec = rng.normal(size=2)
     got = LaguerreModalOperator(sys, spec).rhs(q, 0.0, gvec)
-    V, lam, Vinv = sys.eig(None, 0.0)
+    V, lam, Vinv = sys.eig
     w = Vinv @ q
     gw = Vinv @ gvec
     low = np.tril(np.ones((M + 1, M + 1)))

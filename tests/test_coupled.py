@@ -30,20 +30,20 @@ from lagdg.semiinf import LaguerreModalOperator
 class TestSWESystem:
     def test_characteristic_speeds(self):
         sys = swe_system(SWEConfig(H=1.0, U=0.0, grav=9.81))
-        _, lam, _ = sys.eig(None, 0.0)
+        _, lam, _ = sys.eig
         c = np.sqrt(9.81)
         assert np.sort(lam) == pytest.approx([-c, c])
 
     def test_no_damping_means_no_reaction(self):
         sys = swe_system(SWEConfig())
-        assert sys.coeff_b is None
+        assert sys.b is None
 
     def test_eigendecomposition_reconstructs(self):
         cfg = SWEConfig(H=2.3, U=0.8, grav=9.81)
         sys = swe_system(cfg)
-        V, lam, Vinv = sys.eig(None, 0.0)
+        V, lam, Vinv = sys.eig
         a = V @ np.diag(lam) @ Vinv
-        assert a == pytest.approx(sys.coeff_a(None, 0.0), abs=1e-12)
+        assert a == pytest.approx(sys.a, abs=1e-12)
         assert V @ Vinv == pytest.approx(np.eye(2), abs=1e-13)
 
     def test_supercritical_rejected(self):
@@ -125,6 +125,8 @@ class TestCoupledRhs:
                 small_model(**kw)
             with pytest.raises(ValueError):
                 DGOnlyModel(SWEConfig(), Mesh1D(10.0, 4), 1, **kw)
+            with pytest.raises(ValueError):
+                DGOperator(swe_system(SWEConfig()), Mesh1D(10.0, 4), 1, **kw)
 
     def test_interface_consistency_constant_dg_state(self):
         # constant DG field with the modal trace matching it: the DG
@@ -168,7 +170,7 @@ class TestCoupledRhs:
         rng = np.random.default_rng(12)
         dg = rng.normal(size=(10, 2, 2)) * 0.01
         semi = rng.normal(size=(2, 10)) * 0.01
-        dg_dot = DGOperator(sys, mesh, 1).rhs(_to_blocks(dg), 0.0, None, semi.sum(axis=1))
+        dg_dot = DGOperator(sys, mesh, 1).rhs(_to_blocks(dg), 0.0, semi.sum(axis=1))
         semi_dot = LaguerreModalOperator(sys, spec).rhs(semi, 0.0, dg[-1] @ edge_values(1)[1])
 
         model = CoupledModel(cfg, mesh, 1, spec)
@@ -229,12 +231,12 @@ class TestRunSimulation:
         errs = []
         for nx in (50, 100):
             mesh = Mesh1D(1.0, nx)
-            op = DGOperator(sys, mesh, 1, left_mask=np.array([True]))
+            op = DGOperator(sys, mesh, 1, lambda t: np.array([0.0]), np.array([True]))
             f0 = lambda x: np.exp(-(((x - 0.3) / 0.08) ** 2))
             blocks = _to_blocks(project_dg([f0], mesh, 1).coeffs)
             dt = 0.1 * mesh.dz
             n = int(round(0.25 / dt))
-            rhs = lambda t, y: op.rhs(y.reshape(blocks.shape), t, np.array([0.0]), None).ravel()
+            rhs = lambda t, y: op.rhs(y.reshape(blocks.shape), t, None).ravel()
             yT = run_simulation(rhs, blocks.ravel(), 0.0, 0.25 / n, n)
             num = eval_at_centers(DGState(_from_blocks(yT.reshape(blocks.shape), 1), 1))[:, 0]
             ref = f0(mesh.centers - 0.25)

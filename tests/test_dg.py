@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lagdg.coupled import SWEConfig, swe_system
+from lagdg.coupled import SigmoidDamping, SWEConfig, swe_system
 from lagdg.dg import (
     DGOperator,
     DGState,
@@ -16,7 +16,7 @@ from lagdg.dg import (
     project_dg,
 )
 from lagdg.scenarios import dg_advection_error, _advection_system
-from lagdg.semiinf import HyperbolicSystem, flux_split
+from lagdg.semiinf import flux_split
 
 
 class TestProjection:
@@ -51,8 +51,8 @@ class TestRhs:
         mesh = Mesh1D(10.0, 16)
         q_star = np.array([0.7, -0.2])
         state = project_dg([lambda z: q_star[0] + 0.0 * z, lambda z: q_star[1] + 0.0 * z], mesh, 1)
-        op = DGOperator(sys, mesh, 1, left_mask=np.array([False, True]))
-        rhs = op.rhs(_to_blocks(state.coeffs), 0.0, q_star, q_star)
+        op = DGOperator(sys, mesh, 1, lambda t: q_star, np.array([False, True]))
+        rhs = op.rhs(_to_blocks(state.coeffs), 0.0, q_star)
         assert np.max(np.abs(rhs)) < 1e-13
 
     def test_p0_reduces_to_upwind_finite_volume(self):
@@ -60,8 +60,8 @@ class TestRhs:
         mesh = Mesh1D(1.0, 10)
         rng = np.random.default_rng(1)
         q = rng.normal(size=(10, 1, 1))
-        op = DGOperator(sys, mesh, 0, left_mask=np.array([True]))
-        rhs = _from_blocks(op.rhs(_to_blocks(q), 0.0, np.array([0.3]), None), 1)
+        op = DGOperator(sys, mesh, 0, lambda t: np.array([0.3]), np.array([True]))
+        rhs = _from_blocks(op.rhs(_to_blocks(q), 0.0, None), 1)
         vals = q[:, 0, 0]
         expect = np.empty(10)
         expect[0] = -(vals[0] - 0.3) / mesh.dz
@@ -70,11 +70,11 @@ class TestRhs:
 
     def test_upwind_flux_consistency(self):
         sys = swe_system(SWEConfig())
-        ap, am = flux_split(sys.coeff_a(None, 0.0), sys.eig(None, 0.0))
+        ap, am = flux_split(sys.a, sys.eig)
         rng = np.random.default_rng(2)
         for _ in range(5):
             q = rng.normal(size=2)
-            assert ap @ q + am @ q == pytest.approx(sys.coeff_a(None, 0.0) @ q, abs=1e-12)
+            assert ap @ q + am @ q == pytest.approx(sys.a @ q, abs=1e-12)
 
     def test_conservation_of_compact_pulse(self):
         # zero boundary fluxes: total integral of the state is conserved
@@ -82,38 +82,27 @@ class TestRhs:
         mesh = Mesh1D(1.0, 40)
         f = lambda z: np.exp(-(((z - 0.35) / 0.05) ** 2))
         state = project_dg([f], mesh, 1)
-        op = DGOperator(sys, mesh, 1, left_mask=np.array([True]))
-        rhs = _from_blocks(op.rhs(_to_blocks(state.coeffs), 0.0, np.array([0.0]), None), 1)
+        op = DGOperator(sys, mesh, 1, lambda t: np.array([0.0]), np.array([True]))
+        rhs = _from_blocks(op.rhs(_to_blocks(state.coeffs), 0.0, None), 1)
         # total integral rate = dz * sum of constant-mode rates
         assert abs(mesh.dz * rhs[:, 0, 0].sum()) < 1e-10
 
     def test_linearity(self):
         sys = swe_system(SWEConfig())
         mesh = Mesh1D(5.0, 9)
-        op = DGOperator(sys, mesh, 1, left_mask=np.array([False, False]))
+        op = DGOperator(sys, mesh, 1, lambda t: np.zeros(2), np.array([False, False]))
         rng = np.random.default_rng(3)
         a = _to_blocks(rng.normal(size=(9, 2, 2)))
         b = _to_blocks(rng.normal(size=(9, 2, 2)))
-        zero = np.zeros(2)
-        lhs = op.rhs(3.0 * a + b, 0.0, zero, None)
-        rhs = 3.0 * op.rhs(a, 0.0, zero, None) + op.rhs(b, 0.0, zero, None)
+        lhs = op.rhs(3.0 * a + b, 0.0, None)
+        rhs = 3.0 * op.rhs(a, 0.0, None) + op.rhs(b, 0.0, None)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
-    @pytest.mark.parametrize("p", [0, 1, 3])
-    def test_constant_reaction_is_minus_gamma_times_state(self, p):
-        # b = -gamma I: the (p+2)-point rule integrates phi_i phi_j exactly,
-        # so the reaction block adds exactly -gamma c to the derivative
-        gamma = 0.37
-        base = swe_system(SWEConfig(U=0.4))
-        damped = HyperbolicSystem(d=2, coeff_a=base.coeff_a, eig=base.eig, is_constant=True,
-                                  coeff_b=lambda q, z: -gamma * np.eye(2))
-        mesh = Mesh1D(30.0, 7)
-        q = np.random.default_rng(p).normal(size=(7, 2, p + 1))
-        args = (_to_blocks(q), 0.0, np.array([0.0, 0.2]), None)
-        mask = np.array([False, True])
-        diff = _from_blocks(DGOperator(damped, mesh, p, mask).rhs(*args)
-                            - DGOperator(base, mesh, p, mask).rhs(*args), 2)
-        assert np.max(np.abs(diff + gamma * q)) <= 1e-13 * gamma * np.max(np.abs(q))
+    def test_damped_system_is_rejected(self):
+        # damping belongs to the semi-infinite part; the DG operator has no reaction term
+        damped = swe_system(SWEConfig(damping=SigmoidDamping(dgamma=0.1, L0=100.0)))
+        with pytest.raises(ValueError, match="undamped"):
+            DGOperator(damped, Mesh1D(30.0, 7), 1)
 
     def test_convergence_order_two(self):
         errs = [dg_advection_error(1.0, 1, nx, 0.5, 0.1) for nx in (50, 100, 200)]
@@ -142,11 +131,11 @@ class TestTraceAndGhost:
         sys = swe_system(SWEConfig())
         q_int = np.array([0.23, -0.11])
         u_bc = 0.4
-        closure = characteristic_closure(sys.eig(None, 0.0), np.array([False, True]))
+        closure = characteristic_closure(sys.eig, np.array([False, True]))
         ghost = characteristic_ghost(closure, q_int, np.array([0.0, u_bc]))
         # the upwind interface state takes incoming characteristics from the
         # ghost and outgoing from the interior: its velocity must be u_bc
-        V, lam, Vinv = sys.eig(None, 0.0)
+        V, lam, Vinv = sys.eig
         w_ghost = Vinv @ ghost
         w_int = Vinv @ q_int
         w_star = np.where(lam > 0, w_ghost, w_int)
@@ -156,7 +145,7 @@ class TestTraceAndGhost:
     def test_ghost_transmissive_default(self):
         sys = swe_system(SWEConfig())
         q_int = np.array([1.0, 2.0])
-        closure = characteristic_closure(sys.eig(None, 0.0), None)
+        closure = characteristic_closure(sys.eig, None)
         ghost = characteristic_ghost(closure, q_int, None)
         assert ghost == pytest.approx(q_int)
 
@@ -169,9 +158,9 @@ class TestTraceAndGhost:
     def test_ghost_count_mismatch(self, mask):
         sys = swe_system(SWEConfig())
         with pytest.raises(ValueError):
-            characteristic_closure(sys.eig(None, 0.0), np.array(mask))
-        with pytest.raises(ValueError):
-            DGOperator(sys, Mesh1D(1.0, 3), 1, left_mask=np.array(mask))
+            characteristic_closure(sys.eig, np.array(mask))
+        with pytest.raises(ValueError, match="has shape|prescribed but"):
+            DGOperator(sys, Mesh1D(1.0, 3), 1, lambda t: np.zeros(len(mask)), np.array(mask))
 
     def test_mass_matrix_orthonormality(self):
         # int phi_p phi_q over the element equals dz * delta_pq

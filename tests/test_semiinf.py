@@ -16,10 +16,7 @@ from lagdg.semiinf import (
 
 
 def scalar_system(u):
-    a = np.array([[u]])
-    return HyperbolicSystem(d=1, coeff_a=lambda q, z: a,
-                            eig=lambda q, z: (np.eye(1), np.array([u]), np.eye(1)),
-                            is_constant=True)
+    return HyperbolicSystem(np.array([[u]]), (np.eye(1), np.array([u]), np.eye(1)))
 
 
 def swe_eig(H, g):
@@ -150,7 +147,7 @@ class TestModalRhs:
         gvec = rng.normal(size=2)
         got = LaguerreModalOperator(sys, spec).rhs(q, 0.0, gvec)
 
-        V, lam, Vinv = sys.eig(None, 0.0)
+        V, lam, Vinv = sys.eig
         w = Vinv @ q
         gw = Vinv @ gvec
         low = np.tril(np.ones((M + 1, M + 1)))
@@ -182,7 +179,7 @@ class TestModalRhs:
         beta, M = 0.1, 8
         cfg = SWEConfig()
         sys = swe_system(cfg)
-        V, lam, Vinv = sys.eig(None, 0.0)
+        V, lam, Vinv = sys.eig
         n = M + 1
         low = np.tril(np.ones((n, n)))
         np.fill_diagonal(low, 0.5)
@@ -223,24 +220,6 @@ class TestModalRhs:
         expect = undamped - beta * np.array([G @ q[0], G @ q[1]])
         assert got == pytest.approx(expect, abs=1e-12)
 
-    def test_variable_coefficient_a_path_reduces_to_constant(self):
-        # a z-independent matrix fed through the variable-coefficient path
-        # must reproduce the constant fast path
-        beta, M, u = 0.9, 6, 1.0
-        const = scalar_system(u)
-        varsys = HyperbolicSystem(
-            d=1, coeff_a=lambda q, z: np.array([[u]]),
-            eig=lambda q, z: (np.eye(1), np.array([u]), np.eye(1)),
-            coeff_a_dz=lambda q, z: np.zeros((1, 1)),
-            is_constant=False)
-        spec = BasisSpec("functions", beta, M)
-        rng = np.random.default_rng(9)
-        q = rng.normal(size=(1, M + 1))
-        g = np.array([0.3])
-        fast = LaguerreModalOperator(const, spec).rhs(q, 0.0, g)
-        slow = LaguerreModalOperator(varsys, spec).rhs(q, 0.0, g)
-        assert slow == pytest.approx(fast, abs=1e-8)
-
 
 class TestStateValidation:
     def test_requires_function_basis(self):
@@ -250,3 +229,8 @@ class TestStateValidation:
     def test_shape_check(self):
         with pytest.raises(ValueError):
             ModalState(np.zeros((1, 5)), BasisSpec("functions", 1.0, 3))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2,), (2, 2, 2)], ids=["rect", "vector", "3d"])
+    def test_system_matrix_must_be_square(self, shape):
+        with pytest.raises(ValueError, match=r"\(d, d\)"):
+            HyperbolicSystem(np.zeros(shape), (np.eye(2), np.ones(2), np.eye(2)))

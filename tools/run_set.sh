@@ -6,8 +6,9 @@
 #   tools/run_set.sh /tmp/b          # in the second
 #   diff -r /tmp/a /tmp/b
 #
-# coupling_validation runs 200 steps each way and wavetrain_15nodes runs to
-# T = 100 s, so the set takes well under a minute; both write snapshots.
+# Every shipped config is run.  coupling_validation runs 200 steps each way
+# and both wavetrain configs run to T = 100 s, so the set takes well under
+# a minute; all three write snapshots.
 # The checkout's own src/ is used, with BLAS threads pinned to 1.
 set -eu
 if [ $# -ne 1 ]; then
@@ -32,7 +33,9 @@ run convergence_dg
 run coupling_validation --override nt_ingoing=200 --override nt_outgoing=200 \
     --override T_outgoing=23.80952380952381 --override write_snapshots=true
 run wavetrain_15nodes --override T=100.0 --override write_snapshots=true
+run wavetrain_30nodes --override T=100.0 --override write_snapshots=true
 for cfg in "$root"/configs/spectrum_*.cfg; do
     run "$(basename "$cfg" .cfg)"
 done
 run operator_example
+run rule_example
