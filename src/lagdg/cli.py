@@ -12,6 +12,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .scenarios import ConfigError, parse_config_file, parse_value, run_scenario
 
 EXIT_OK = 0
@@ -97,12 +99,13 @@ def main(argv=None) -> int:
                    "M": args.M, "u": args.u, "q_left": args.q_left}
             summary = run_scenario(cfg, args.output)
             print(json.dumps(summary, sort_keys=True))
+    # LinAlgError subclasses ValueError, so the numerical clause comes first
+    except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (RuntimeError, FloatingPointError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     return EXIT_OK
 
 

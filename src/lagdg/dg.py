@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .basis import legendre_eval
+from .quadrature import _golub_welsch
 from .semiinf import HyperbolicSystem, flux_split
 
 
@@ -83,8 +83,8 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss-Legendre rule on [-1, 1] (Golub-Welsch)."""
     k = np.arange(1, n)
     off = k / np.sqrt(4.0 * k * k - 1.0)
-    xi, vecs = eigh_tridiagonal(np.zeros(n), off)
-    return xi, 2.0 * vecs[0] ** 2
+    xi, w = _golub_welsch(np.zeros(n), off)
+    return xi, 2.0 * w
 
 
 def characteristic_closure(eig_triple, mask) -> tuple[np.ndarray, np.ndarray] | None:

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .basis import (
     LAGUERRE_FUNCTIONS,
@@ -68,18 +67,28 @@ class DiffMatrix:
     rule: QuadratureRule
 
 
-def _gl_unit(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-scale Gauss-Laguerre nodes and classical weights (Golub-Welsch).
+def _golub_welsch(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and unit-mass weights of the Jacobi matrix (diag, off) (Golub-Welsch).
+
+    The nodes are the eigenvalues, the weights the squared first
+    eigenvector components.  numpy's eigh runs LAPACK dsyevd, whose
+    Householder reduction leaves a tridiagonal matrix as it is and hands
+    the same (diag, off) to dstedc, the divide-and-conquer solver of the
+    tridiagonal driver dstevd, so both routes give the same bits.
+    """
+    jac = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    nodes, vecs = np.linalg.eigh(jac)
+    return nodes, vecs[0] ** 2
+
+
+def _gl_unit(n: int) -> np.ndarray:
+    """Unit-scale Gauss-Laguerre nodes: the n zeros of L_n.
 
     The Jacobi matrix of the Laguerre weight has diagonal 2k+1 and
-    off-diagonal k; the weights are the squared first eigenvector
-    components (total mass 1).
+    off-diagonal k.
     """
-    diag = 2.0 * np.arange(n) + 1.0
-    off = np.arange(1.0, n)
-    nodes, vecs = eigh_tridiagonal(diag, off)
-    weights = vecs[0] ** 2
-    return nodes, weights
+    nodes, _ = _golub_welsch(2.0 * np.arange(n) + 1.0, np.arange(1.0, n))
+    return nodes
 
 
 def _glr_unit(M: int) -> np.ndarray:
@@ -94,7 +103,7 @@ def _glr_unit(M: int) -> np.ndarray:
     node-by-node solve with the same steps.
     """
     n = M + 1
-    gl_nodes, _ = _gl_unit(n)
+    gl_nodes = _gl_unit(n)
 
     def dval(x):
         tab = laguerre_poly_table(n, x)
@@ -143,7 +152,7 @@ def build_rule(node_kind: str, basis_kind: str, beta: float, M: int) -> Quadratu
 
     n = M + 1
     if node_kind == NODES_GL:
-        x, _ = _gl_unit(n)
+        x = _gl_unit(n)
         # w_i e^{x_i} = x_i / [(M+2)^2 (e^{-x/2} L_{M+2}(x_i))^2]
         damped = laguerre_fun_table(n + 1, x)[n + 1]
         weights = x / ((n + 1) ** 2 * damped**2)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,8 @@ import pytest
 from lagdg.cli import main
 from lagdg.scenarios import ConfigError, parse_config_file, run_scenario
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+REPO = Path(__file__).resolve().parent.parent
+CONFIG_DIR = REPO / "configs"
 
 
 class TestConfigParsing:
@@ -135,6 +137,22 @@ class TestCliCommands:
              "--output", str(tmp_path)],
             capture_output=True, text=True)
         assert proc.returncode == 0
+
+    def test_lapack_failure_exits_3(self, monkeypatch, tmp_path, capsys):
+        # LinAlgError subclasses ValueError; it must still count as numerical
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        assert main(["rule", "--M", "10", "--output", str(tmp_path)]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_cli_import_loads_no_scipy(self):
+        code = ("import lagdg.cli, sys; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(REPO / "src")}, check=True)
+        assert proc.stdout.strip() == "[]"
 
 
 class TestShippedConfigs:

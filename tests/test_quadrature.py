@@ -100,7 +100,7 @@ def glr_unit_per_node(M):
     test as ``quadrature._glr_unit``, on scalars.
     """
     n = M + 1
-    gl_nodes, _ = quadrature._gl_unit(n)
+    gl_nodes = quadrature._gl_unit(n)
 
     def dval(x):
         tab = laguerre_poly_table(n, np.asarray(x))
@@ -130,6 +130,27 @@ def glr_unit_per_node(M):
             raise RuntimeError(f"GLR node {k} did not converge for M={M}")
         roots[k] = x
     return roots
+
+
+class TestGolubWelsch:
+    # numpy's dense eigh must reach the same dstedc call, with the same
+    # (diag, off), as the tridiagonal driver; the goldens pin these bits
+    @staticmethod
+    def _assert_matches_tridiagonal(diag, off):
+        linalg = pytest.importorskip("scipy.linalg")
+        nodes, weights = quadrature._golub_welsch(diag, off)
+        ref_nodes, ref_vecs = linalg.eigh_tridiagonal(diag, off)
+        assert np.array_equal(nodes, ref_nodes)
+        assert np.array_equal(weights, ref_vecs[0] ** 2)
+
+    def test_laguerre_bit_identical_to_tridiagonal_solver(self):
+        for n in range(1, quadrature._MAX_M + 2):
+            self._assert_matches_tridiagonal(2.0 * np.arange(n) + 1.0, np.arange(1.0, n))
+
+    def test_legendre_bit_identical_to_tridiagonal_solver(self):
+        for n in range(1, 13):
+            k = np.arange(1, n)
+            self._assert_matches_tridiagonal(np.zeros(n), k / np.sqrt(4.0 * k * k - 1.0))
 
 
 class TestGLRNewton:
