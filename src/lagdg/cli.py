@@ -31,14 +31,17 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--override", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config key (repeatable)")
 
-    spec_p = sub.add_parser("spectrum", help="eigenvalues of one discretization variant")
-    spec_p.add_argument("--form", required=True, choices=["strong", "nodal", "modal"])
-    spec_p.add_argument("--basis", required=True, choices=["functions", "polynomials"])
-    spec_p.add_argument("--nodes", default="glr", choices=["gl", "glr"])
-    spec_p.add_argument("--direction", required=True, choices=["inflow", "outflow"])
-    spec_p.add_argument("--beta", type=float, required=True)
-    spec_p.add_argument("--M", type=int, required=True)
-    spec_p.add_argument("--u", type=float, default=None)
+    # the variant arguments of spectrum and operator; every dest is a config key
+    variant = argparse.ArgumentParser(add_help=False)
+    variant.add_argument("--form", required=True, choices=["strong", "nodal", "modal"])
+    variant.add_argument("--basis", required=True, choices=["functions", "polynomials"])
+    variant.add_argument("--nodes", default="glr", choices=["gl", "glr"])
+    variant.add_argument("--direction", required=True, choices=["inflow", "outflow"])
+    variant.add_argument("--beta", type=float, required=True)
+    variant.add_argument("--M", type=int, required=True)
+    variant.add_argument("--u", type=float, default=None)
+
+    spec_p = sub.add_parser("spectrum", parents=[variant], help="eigenvalues of one discretization variant")
     spec_p.add_argument("--output", default="out")
 
     rule_p = sub.add_parser("rule", help="dump quadrature nodes and weights as CSV")
@@ -48,14 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     rule_p.add_argument("--M", type=int, required=True)
     rule_p.add_argument("--output", default="out")
 
-    op_p = sub.add_parser("operator", help="dump the dense (A, g) pair of a variant")
-    op_p.add_argument("--form", required=True, choices=["strong", "nodal", "modal"])
-    op_p.add_argument("--basis", required=True, choices=["functions", "polynomials"])
-    op_p.add_argument("--nodes", default="glr", choices=["gl", "glr"])
-    op_p.add_argument("--direction", required=True, choices=["inflow", "outflow"])
-    op_p.add_argument("--beta", type=float, required=True)
-    op_p.add_argument("--M", type=int, required=True)
-    op_p.add_argument("--u", type=float, default=None)
+    op_p = sub.add_parser("operator", parents=[variant], help="dump the dense (A, g) pair of a variant")
     op_p.add_argument("--q-left", type=float, default=1.0)
     op_p.add_argument("--output", default="out")
 
@@ -82,22 +78,10 @@ def main(argv=None) -> int:
             summary = run_scenario(cfg, args.output)
             print(json.dumps({"scenario": cfg["scenario"], "output": str(args.output),
                               "summary_keys": sorted(summary)}, sort_keys=True))
-        elif args.command == "spectrum":
-            cfg = {"scenario": "spectrum", "form": args.form, "basis": args.basis,
-                   "nodes": args.nodes, "direction": args.direction,
-                   "beta": args.beta, "M": args.M, "u": args.u}
-            summary = run_scenario(cfg, args.output)
-            print(json.dumps(summary, sort_keys=True))
-        elif args.command == "rule":
-            cfg = {"scenario": "rule", "nodes": args.nodes, "basis": args.basis,
-                   "beta": args.beta, "M": args.M}
-            summary = run_scenario(cfg, args.output)
-            print(json.dumps(summary, sort_keys=True))
-        elif args.command == "operator":
-            cfg = {"scenario": "operator", "form": args.form, "basis": args.basis,
-                   "nodes": args.nodes, "direction": args.direction, "beta": args.beta,
-                   "M": args.M, "u": args.u, "q_left": args.q_left}
-            summary = run_scenario(cfg, args.output)
+        else:
+            # spectrum, rule, operator: the subcommand is the scenario
+            cfg = {k: v for k, v in vars(args).items() if k not in ("command", "output")}
+            summary = run_scenario({**cfg, "scenario": args.command}, args.output)
             print(json.dumps(summary, sort_keys=True))
     # LinAlgError subclasses ValueError, so the numerical clause comes first
     except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:

@@ -19,23 +19,9 @@ from typing import Callable
 import numpy as np
 
 from .basis import LAGUERRE_FUNCTIONS, BasisSpec
-from .dg import (
-    DGOperator,
-    DGState,
-    Mesh1D,
-    _edge_trace,
-    _from_blocks,
-    _to_blocks,
-    eval_at_centers,
-    project_dg,
-)
+from .dg import DGOperator, Mesh1D
 from .quadrature import QuadratureRule
-from .semiinf import (
-    HyperbolicSystem,
-    LaguerreModalOperator,
-    ModalState,
-    project as project_semi,
-)
+from .semiinf import HyperbolicSystem, LaguerreModalOperator, project as project_semi
 
 CFL_WARN = 0.4  # advisory bound: run_simulation warns above it
 
@@ -98,13 +84,6 @@ def swe_system(cfg: SWEConfig) -> HyperbolicSystem:
     return HyperbolicSystem(a, (V, lam, Vinv), b)
 
 
-@dataclass(eq=False)
-class CoupledState:
-    dg: DGState
-    semi: ModalState
-    t: float = 0.0
-
-
 def rk3_step(rhs: Callable, y: np.ndarray, t: float, dt: float) -> np.ndarray:
     """Three-stage third-order step: y + dt/6 (K1 + K2 + 4 K3)."""
     if dt <= 0:
@@ -120,7 +99,9 @@ def rk3_step(rhs: Callable, y: np.ndarray, t: float, dt: float) -> np.ndarray:
 
 
 class CoupledModel:
-    """Prepared coupled right-hand side over a flat state vector.
+    """Prepared coupled right-hand side over a flat state vector: the DG
+    coefficients in the DG operator's layout, then the (d, M+1) modal
+    coefficients.  split gives views of the two parts.
 
     left_bc and left_mask go to the DG operator, which owns the left
     boundary (see DGOperator); without them it is transmissive.  Damping
@@ -142,41 +123,31 @@ class CoupledModel:
         self.sys_semi = swe_system(cfg)
         self.dg_op = DGOperator(self.sys_dg, mesh, p, left_bc, left_mask)
         self.semi_op = LaguerreModalOperator(self.sys_semi, spec, rule)
-        self.d = 2
-        self._n_dg = mesh.n_elements * self.d * (p + 1)
-        self._dg_shape = self.dg_op.blocks_shape
-        self._semi_shape = (self.d, spec.M + 1)
+        self._n_dg = mesh.n_elements * 2 * (p + 1)
+        self._semi_shape = (2, spec.M + 1)
 
-    # --- flat packing -------------------------------------------------
-    def pack(self, state: CoupledState) -> np.ndarray:
-        return np.concatenate([_to_blocks(state.dg.coeffs).ravel(), state.semi.coeffs.ravel()])
+    def split(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Views of a flat state: (DG blocks of dg_op.blocks_shape, (d, M+1) modal coefficients)."""
+        return y[: self._n_dg].reshape(self.dg_op.blocks_shape), y[self._n_dg:].reshape(self._semi_shape)
 
-    def unpack(self, y: np.ndarray, t: float = 0.0) -> CoupledState:
-        dg = DGState(_from_blocks(y[: self._n_dg].reshape(self._dg_shape), self.d), self.p)
-        semi = ModalState(y[self._n_dg:].reshape(self._semi_shape).copy(), self.spec,
-                          origin_shift=self.mesh.length)
-        return CoupledState(dg, semi, t)
-
-    # --- dynamics -----------------------------------------------------
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        dg = y[: self._n_dg].reshape(self._dg_shape)
-        semi = y[self._n_dg:].reshape(self._semi_shape)
-        dg_trace = _edge_trace(dg, -1, self.d, self.dg_op.e_right)
+        dg, semi = self.split(y)
+        dg_trace = self.dg_op.right_trace(dg)
         dg_dot = self.dg_op.rhs(dg, t, semi.sum(axis=1))
         semi_dot = self.semi_op.rhs(semi, t, dg_trace)
         return np.concatenate([dg_dot.ravel(), semi_dot.ravel()])
 
-    def initial_state(self, h_fun, u_fun) -> CoupledState:
-        """Project (h, u) profiles given in the physical coordinate."""
+    def initial_state(self, h_fun, u_fun) -> np.ndarray:
+        """Flat state of (h, u) profiles given in the physical coordinate."""
         L = self.mesh.length
-        dg = project_dg([h_fun, u_fun], self.mesh, self.p)
+        dg = self.dg_op.project([h_fun, u_fun])
         semi = project_semi([lambda z: h_fun(z + L), lambda z: u_fun(z + L)],
-                            self.spec, self.semi_op.rule, origin_shift=L)
-        return CoupledState(dg, semi, 0.0)
+                            self.spec, self.semi_op.rule)
+        return np.concatenate([dg, semi.ravel()])
 
     def centers_view(self, y: np.ndarray) -> np.ndarray:
         """Cell-centre values of the DG part, shape (n_elements, d)."""
-        return eval_at_centers(self.unpack(y).dg)
+        return self.dg_op.centers(self.split(y)[0])
 
     def max_speed(self) -> float:
         return abs(self.cfg.U) + self.cfg.wave_speed
@@ -208,13 +179,14 @@ def run_simulation(rhs: Callable, y0: np.ndarray, t0: float, dt: float, n_steps:
     return y
 
 
-def dg_energy(mesh: Mesh1D, coeffs: np.ndarray, grav: float, H: float) -> float:
-    """(1/2) integral of (g h^2 + H u^2) over the finite domain."""
-    return 0.5 * mesh.dz * float(
-        grav * np.sum(coeffs[:, 0, :] ** 2) + H * np.sum(coeffs[:, 1, :] ** 2)
-    )
+def dg_energy(mesh: Mesh1D, blocks: np.ndarray, grav: float, H: float) -> float:
+    """(1/2) integral of (g h^2 + H u^2) over the finite domain, from the
+    DG blocks of CoupledModel.split (component-major: h rows, then u rows)."""
+    h, u = np.split(blocks, 2)
+    return 0.5 * mesh.dz * float(grav * np.sum(h ** 2) + H * np.sum(u ** 2))
 
 
 def semi_energy(coeffs: np.ndarray, beta: float, grav: float, H: float) -> float:
-    """(1/2) integral of (g h^2 + H u^2) over the semi-infinite domain."""
+    """(1/2) integral of (g h^2 + H u^2) over the semi-infinite domain, from
+    the (d, M+1) modal coefficients of CoupledModel.split."""
     return 0.5 / beta * float(grav * np.sum(coeffs[0] ** 2) + H * np.sum(coeffs[1] ** 2))

@@ -40,19 +40,6 @@ class Mesh1D:
         return (np.arange(self.n_elements) + 0.5) * self.dz
 
 
-@dataclass(eq=False)
-class DGState:
-    """Modal coefficients, shape (n_elements, d, p+1)."""
-
-    coeffs: np.ndarray
-    p: int
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.p < 0 or self.coeffs.ndim != 3 or self.coeffs.shape[2] != self.p + 1:
-            raise ValueError(f"coefficient shape {self.coeffs.shape} does not match p={self.p}")
-
-
 def edge_values(p: int) -> tuple[np.ndarray, np.ndarray]:
     """Basis values at the element ends: (left, right) = phi(-1), phi(+1)."""
     j = np.arange(p + 1)
@@ -133,7 +120,7 @@ def characteristic_ghost(closure, q_interior: np.ndarray, values: np.ndarray | N
 # The DG part of a flat state is stored component-major: a (d(p+1), n)
 # array whose column m holds element m's (d, p+1) coefficients, so the
 # block products act on all elements in one matrix product.  These
-# helpers are the only code that knows that layout.
+# helpers and DGOperator are the only code that knows that layout.
 
 
 def _to_blocks(coeffs: np.ndarray) -> np.ndarray:
@@ -169,7 +156,8 @@ class DGOperator:
     are given; without them the boundary is transmissive.  The closure is
     built once; only the two boundary ghost states are formed per call.
     rhs acts on the component-major coefficient array of shape
-    blocks_shape.
+    blocks_shape; project, centers and right_trace convert between that
+    layout and the flat state, the profiles and the cell-centre output.
     """
 
     def __init__(self, sys: HyperbolicSystem, mesh: Mesh1D, p: int, left_bc=None, left_mask=None):
@@ -211,29 +199,42 @@ class DGOperator:
         out[:, -1] -= ((self.a_minus @ right_exterior)[:, None] * self.e_right).ravel() / dz
         return out
 
+    def project(self, component_funcs) -> np.ndarray:
+        """Flat component-major coefficients of the L2 projection (project_dg)."""
+        return _to_blocks(project_dg(component_funcs, self.mesh, self.p)).ravel()
 
-def project_dg(component_funcs, mesh: Mesh1D, p: int) -> DGState:
-    """Elementwise L2 projection with a (p+2)-point Gauss-Legendre rule."""
+    def centers(self, y: np.ndarray) -> np.ndarray:
+        """Cell-centre values (n_elements, d) of flat or blocked coefficients."""
+        return eval_at_centers(_from_blocks(y.reshape(self.blocks_shape), self.sys.d))
+
+    def right_trace(self, blocks: np.ndarray) -> np.ndarray:
+        """Interior state (d,) at z = L of component-major coefficients."""
+        return _edge_trace(blocks, -1, self.sys.d, self.e_right)
+
+
+def project_dg(component_funcs, mesh: Mesh1D, p: int) -> np.ndarray:
+    """Elementwise L2 projection with a (p+2)-point Gauss-Legendre rule;
+    coefficients of shape (n_elements, d, p+1)."""
     xi, wq = gauss_legendre(p + 2)
     phi = np.array([[np.sqrt(2 * l + 1) * legendre_eval(l, x) for x in xi] for l in range(p + 1)])
     zq = mesh.centers[:, None] + 0.5 * mesh.dz * xi[None, :]
     fvals = np.array([np.asarray(f(zq), dtype=float) for f in component_funcs])  # (d, n, g)
-    coeffs = 0.5 * np.einsum("kmg,ig,g->mki", fvals, phi, wq)
-    return DGState(coeffs, p)
+    return 0.5 * np.einsum("kmg,ig,g->mki", fvals, phi, wq)
 
 
-def eval_at_centers(state: DGState) -> np.ndarray:
-    """Cell-center point values, shape (n_elements, d)."""
-    return state.coeffs @ center_values(state.p)
+def eval_at_centers(coeffs: np.ndarray) -> np.ndarray:
+    """Cell-center point values of (n_elements, d, p+1) coefficients, shape (n_elements, d)."""
+    return coeffs @ center_values(coeffs.shape[-1] - 1)
 
 
-def eval_at(state: DGState, mesh: Mesh1D, x) -> np.ndarray:
-    """Pointwise evaluation at physical coordinates, shape (d, len(x))."""
+def eval_at(coeffs: np.ndarray, mesh: Mesh1D, x) -> np.ndarray:
+    """Pointwise evaluation of (n_elements, d, p+1) coefficients at
+    physical coordinates, shape (d, len(x))."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x < -1e-12) or np.any(x > mesh.length + 1e-12):
         raise ValueError("evaluation point outside the mesh")
     idx = np.clip((x / mesh.dz).astype(int), 0, mesh.n_elements - 1)
     xi = 2.0 * (x - mesh.centers[idx]) / mesh.dz
     xi = np.clip(xi, -1.0, 1.0)
-    phi = np.array([np.sqrt(2 * l + 1) * legendre_eval(l, xi) for l in range(state.p + 1)])
-    return np.einsum("mkj,jm->km", state.coeffs[idx], phi)
+    phi = np.array([np.sqrt(2 * l + 1) * legendre_eval(l, xi) for l in range(coeffs.shape[-1])])
+    return np.einsum("mkj,jm->km", coeffs[idx], phi)

@@ -24,16 +24,7 @@ from .coupled import (
     run_simulation,
     swe_system,
 )
-from .dg import (
-    DGOperator,
-    DGState,
-    Mesh1D,
-    _edge_trace,
-    _from_blocks,
-    _to_blocks,
-    eval_at_centers,
-    project_dg,
-)
+from .dg import DGOperator, Mesh1D
 from .diagnostics import energy_error, error_norms, reflection_ratio
 from .quadrature import build_rule
 from .semiinf import HyperbolicSystem, default_rule, reconstruct
@@ -89,14 +80,13 @@ def parse_value(text: str):
 
 
 def resolve_config(defaults: dict, cfg: dict, scenario: str) -> dict:
-    merged = dict(defaults)
-    unknown = [k for k in cfg if k not in defaults and k not in ("scenario", "output_dir", "seed")]
+    unknown = [k for k in cfg if k not in defaults and k != "scenario"]
     if unknown:
         raise ConfigError(f"unknown keys for scenario {scenario!r}: {unknown}")
-    merged.update({k: v for k, v in cfg.items() if k in defaults})
-    merged["scenario"] = scenario
-    merged["seed"] = int(cfg.get("seed", 0))
-    return merged
+    not_lists = [k for k, v in cfg.items() if isinstance(defaults.get(k), list) and not isinstance(v, list)]
+    if not_lists:
+        raise ConfigError(f"keys {not_lists} of scenario {scenario!r} take a list")
+    return {**defaults, **{k: v for k, v in cfg.items() if k in defaults}, "scenario": scenario}
 
 
 # --------------------------------------------------------------------------
@@ -108,31 +98,29 @@ class DGOnlyModel:
 
     left_bc and left_mask go to the DG operator, which owns the left
     boundary (see DGOperator).  The flat state holds the DG coefficients
-    in the operator's component-major layout.
+    in the operator's layout.
     """
 
     def __init__(self, cfg: SWEConfig, mesh: Mesh1D, p: int, left_bc=None, left_mask=None,
                  reflect_right: bool = False):
         self.cfg = cfg
         self.mesh = mesh
-        self.p = p
         self.reflect_right = reflect_right
         self.op = DGOperator(swe_system(cfg), mesh, p, left_bc, left_mask)
-        self._shape = self.op.blocks_shape
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        blocks = y.reshape(self._shape)
+        blocks = y.reshape(self.op.blocks_shape)
         right = None
         if self.reflect_right:
-            tr = _edge_trace(blocks, -1, 2, self.op.e_right)
+            tr = self.op.right_trace(blocks)
             right = np.array([tr[0], -tr[1]])
         return self.op.rhs(blocks, t, right).ravel()
 
     def initial_state(self, h_fun, u_fun) -> np.ndarray:
-        return _to_blocks(project_dg([h_fun, u_fun], self.mesh, self.p).coeffs).ravel()
+        return self.op.project([h_fun, u_fun])
 
     def centers_view(self, y: np.ndarray) -> np.ndarray:
-        return eval_at_centers(DGState(_from_blocks(y.reshape(self._shape), 2), self.p))
+        return self.op.centers(y)
 
     def max_speed(self) -> float:
         return abs(self.cfg.U) + self.cfg.wave_speed
@@ -141,7 +129,7 @@ class DGOnlyModel:
 # --------------------------------------------------------------------------
 # spectrum / rule / operator scenarios
 
-_VARIANT_DEFAULTS = {
+SPECTRUM_DEFAULTS = {
     "form": "modal", "basis": "functions", "nodes": "glr", "direction": "outflow",
     "beta": 1.0, "M": 50, "u": None,
 }
@@ -157,12 +145,9 @@ def _assemble_variant(cfg: dict, q_left: float = 0.0):
     return assemble(variant, float(cfg["beta"]), int(cfg["M"]), float(u)), u
 
 
-SPECTRUM_DEFAULTS = {**_VARIANT_DEFAULTS, "tol_stability": 1e-8}
-
-
 def run_spectrum(cfg: dict, outdir: Path) -> dict:
     op, u = _assemble_variant(cfg)
-    report = classify(op, float(cfg["tol_stability"]))
+    report = classify(op)
     lam = report.eigenvalues
     write_csv(outdir / "eigenvalues.csv", ["re", "im"], [(z.real, z.imag) for z in lam])
     summary = {
@@ -185,7 +170,7 @@ def run_rule(cfg: dict, outdir: Path) -> dict:
     return {"n_nodes": rule.n}
 
 
-OPERATOR_DEFAULTS = {**_VARIANT_DEFAULTS, "q_left": 1.0}
+OPERATOR_DEFAULTS = {**SPECTRUM_DEFAULTS, "q_left": 1.0}
 
 
 def run_operator(cfg: dict, outdir: Path) -> dict:
@@ -205,7 +190,7 @@ def _snapshot_csv(outdir: Path, name: str, model: CoupledModel, y: np.ndarray) -
     vals = model.centers_view(y)
     rows = [(x, vals[i, 0], vals[i, 1]) for i, x in enumerate(centers)]
     rule = model.semi_op.rule
-    semi_vals = reconstruct(model.unpack(y).semi, rule.nodes)
+    semi_vals = reconstruct(model.split(y)[1], model.spec, rule.nodes)
     rows += [(model.mesh.length + z, semi_vals[0, i], semi_vals[1, i]) for i, z in enumerate(rule.nodes)]
     write_csv(outdir / name, ["x", "h", "u"], rows)
 
@@ -281,7 +266,7 @@ def _validation_row(cfg: dict, direction: str, h1: float, sigma: float,
 
     h_fun = _gaussian(h1, x0, sigma)
     n = mesh.n_elements
-    yT, num = _solve(model, model.pack(model.initial_state(h_fun, _zero)), dt, n_steps, n)
+    yT, num = _solve(model, model.initial_state(h_fun, _zero), dt, n_steps, n)
     _, refv = _solve(ref, ref.initial_state(h_fun, _zero), dt, n_steps, n)
 
     eh = error_norms(num[:, 0], refv[:, 0], relative=ingoing)
@@ -296,6 +281,9 @@ def _validation_row(cfg: dict, direction: str, h1: float, sigma: float,
 
 
 def run_coupling_validation(cfg: dict, outdir: Path) -> dict:
+    unknown = [d for d in cfg["directions"] if d not in ("ingoing", "outgoing")]
+    if unknown:
+        raise ConfigError(f"directions {unknown} are not 'ingoing' or 'outgoing'")
     tasks = [(d, h1, s) for d in cfg["directions"] for h1 in cfg["h1_list"] for s in cfg["sigma_list"]]
     rows = _map_rows(lambda t: _validation_row(cfg, *t, outdir), tasks)
     return _write_results(outdir, cfg, ["x0", "h1", "sigma", "e1_h", "e1_u", "e2_h", "e2_u",
@@ -335,7 +323,7 @@ def _wavetrain_row(cfg: dict, amplitude: float, outdir: Path) -> dict:
     ref = _reference(cfg, mesh, int(np.ceil(ref_len / mesh.dz)), left_bc=left_bc, left_mask=mask)
 
     n = mesh.n_elements
-    yT, num = _solve(model, model.pack(model.initial_state(_zero, _zero)), dt, n_steps, n)
+    yT, num = _solve(model, model.initial_state(_zero, _zero), dt, n_steps, n)
     # the reference starts at rest: no need to project zero onto its long mesh
     yr0 = np.zeros(ref.mesh.n_elements * 2 * (int(cfg["p"]) + 1))
     _, refv = _solve(ref, yr0, dt, n_steps, n)
@@ -385,7 +373,7 @@ def _absorption_row(cfg: dict, row, outdir: Path) -> dict:
     ref = _reference(cfg, mesh, int(round(cfg["ref_length"] / mesh.dz)))
 
     h_fun = _gaussian(cfg["h1"], cfg["x0"], cfg["sigma"])
-    yT, num = _solve(model, model.pack(model.initial_state(h_fun, _zero)), dt, steps, nx)
+    yT, num = _solve(model, model.initial_state(h_fun, _zero), dt, steps, nx)
     _, wallv = _solve(wall, wall.initial_state(h_fun, _zero), dt, steps, nx)
     _, refv = _solve(ref, ref.initial_state(h_fun, _zero), dt, steps, nx)
 
@@ -403,6 +391,9 @@ def _absorption_row(cfg: dict, row, outdir: Path) -> dict:
 
 
 def run_gaussian_absorption(cfg: dict, outdir: Path) -> dict:
+    bad = [r for r in cfg["rows"] if not isinstance(r, list) or len(r) != 4]
+    if bad:
+        raise ConfigError(f"rows {bad} are not [semi_nodes, nx, steps, beta]")
     rows = _map_rows(lambda r: _absorption_row(cfg, r, outdir), list(cfg["rows"]))
     return _write_results(outdir, cfg, ["semi_nodes", "nx", "steps", "beta", "resid_h", "resid_u",
                                         "e_en", "rho"], rows)
@@ -423,16 +414,15 @@ def dg_advection_error(u: float, p: int, nx: int, T: float, cfl: float) -> float
     mesh = Mesh1D(1.0, nx)
     exact = lambda x, t: np.sin(2 * np.pi * (x - u * t))
     op = DGOperator(sys, mesh, p, lambda t: np.array([exact(0.0, t)]), np.array([True]))
-    blocks0 = _to_blocks(project_dg([lambda x: exact(x, 0.0)], mesh, p).coeffs)
 
     def rhs(t, y):
-        return op.rhs(y.reshape(blocks0.shape), t, None).ravel()
+        return op.rhs(y.reshape(op.blocks_shape), t, None).ravel()
 
     dt = cfl * mesh.dz / abs(u)
     n_steps = int(np.ceil(T / dt))
     dt = T / n_steps
-    yT = run_simulation(rhs, blocks0.ravel(), 0.0, dt, n_steps)
-    num = eval_at_centers(DGState(_from_blocks(yT.reshape(blocks0.shape), 1), p))[:, 0]
+    yT = run_simulation(rhs, op.project([lambda x: exact(x, 0.0)]), 0.0, dt, n_steps)
+    num = op.centers(yT)[:, 0]
     ref = exact(mesh.centers, T)
     return float(np.sqrt(mesh.dz * np.sum((num - ref) ** 2)))
 

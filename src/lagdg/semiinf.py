@@ -1,8 +1,8 @@
 """Weak modal scaled-Laguerre-function discretization of hyperbolic systems.
 
-A d-component system q_t + A q_z = B(z) q on [0, inf) (local coordinate;
-the physical origin may sit at origin_shift) is expanded per component in
-scaled Laguerre functions.  Incoming characteristics are forced through
+A d-component system q_t + A q_z = B(z) q on [0, inf) (local coordinate)
+is expanded per component in scaled Laguerre functions; the coefficients
+are a plain (d, M+1) array.  Incoming characteristics are forced through
 A+ by Dirichlet data g(t); outgoing ones feed back through A- acting on
 the boundary trace sum_j q_j.  The constant A gives triangular mode
 coupling; the reaction B(z) enters through GLR quadrature of its
@@ -44,24 +44,6 @@ class HyperbolicSystem:
         return self.a.shape[0]
 
 
-@dataclass(eq=False)
-class ModalState:
-    """Per-component Laguerre-function coefficients, shape (d, M+1)."""
-
-    coeffs: np.ndarray
-    spec: BasisSpec
-    origin_shift: float = 0.0
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.spec.kind != LAGUERRE_FUNCTIONS:
-            raise ValueError("modal states use the Laguerre function basis")
-        if self.coeffs.ndim != 2 or self.coeffs.shape[1] != self.spec.M + 1:
-            raise ValueError(f"coefficient array shape {self.coeffs.shape} does not match M={self.spec.M}")
-        if not np.all(np.isfinite(self.coeffs)):
-            raise ValueError("non-finite modal coefficients")
-
-
 def flux_split(a: np.ndarray, eig_triple) -> tuple[np.ndarray, np.ndarray]:
     """Characteristic splitting A = A+ + A- by eigenvalue sign."""
     V, lam, Vinv = eig_triple
@@ -83,9 +65,11 @@ def basis_values_at_nodes(spec: BasisSpec, rule: QuadratureRule) -> np.ndarray:
     return laguerre_fun_table(spec.M, spec.beta * rule.nodes)
 
 
-def project(component_funcs, spec: BasisSpec, rule: QuadratureRule | None = None,
-            origin_shift: float = 0.0) -> ModalState:
-    """GLR-quadrature projection q_kj = beta * sum_l w_l f_k(z_l) Lhat_j(z_l)."""
+def project(component_funcs, spec: BasisSpec, rule: QuadratureRule | None = None) -> np.ndarray:
+    """GLR-quadrature projection q_kj = beta * sum_l w_l f_k(z_l) Lhat_j(z_l),
+    shape (d, M+1)."""
+    if spec.kind != LAGUERRE_FUNCTIONS:
+        raise ValueError("modal projection uses the Laguerre function basis")
     if rule is None:
         rule = default_rule(spec)
     if rule.basis_kind != LAGUERRE_FUNCTIONS:
@@ -93,16 +77,19 @@ def project(component_funcs, spec: BasisSpec, rule: QuadratureRule | None = None
     phi = basis_values_at_nodes(spec, rule)
     fvals = np.array([np.asarray(f(rule.nodes), dtype=float) for f in component_funcs])
     coeffs = spec.beta * (fvals * rule.weights) @ phi.T
-    return ModalState(coeffs, spec, origin_shift)
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("non-finite modal coefficients")
+    return coeffs
 
 
-def reconstruct(state: ModalState, z_points) -> np.ndarray:
-    """Series evaluation at local coordinates z >= 0, shape (d, len(z))."""
+def reconstruct(coeffs: np.ndarray, spec: BasisSpec, z_points) -> np.ndarray:
+    """Series evaluation of (d, M+1) coefficients at local coordinates
+    z >= 0, shape (d, len(z))."""
     z = np.atleast_1d(np.asarray(z_points, dtype=float))
     if np.any(z < 0):
         raise ValueError("reconstruction points must be >= 0 in the local coordinate")
-    phi = laguerre_fun_table(state.spec.M, state.spec.beta * z)
-    return state.coeffs @ phi
+    phi = laguerre_fun_table(spec.M, spec.beta * z)
+    return coeffs @ phi
 
 
 class LaguerreModalOperator:

@@ -35,8 +35,8 @@ def eigenvalues(A: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(A)
 
 
-def classify(op: SemiDiscreteOperator, tol_stability: float = DEFAULT_STABILITY_TOL) -> SpectrumReport:
-    """Stability report: stable iff max Re <= tol * max(1, spectral radius).
+def classify(op: SemiDiscreteOperator) -> SpectrumReport:
+    """Stability report: stable iff max Re <= DEFAULT_STABILITY_TOL * max(1, spectral radius).
 
     The tolerance is relative to the spectral radius so that rounding-level
     drift off the imaginary axis never flags a neutrally stable operator.
@@ -49,5 +49,5 @@ def classify(op: SemiDiscreteOperator, tol_stability: float = DEFAULT_STABILITY_
         eigenvalues=lam,
         max_real_part=max_re,
         spectral_radius=rho,
-        stable=max_re <= tol_stability * max(1.0, rho),
+        stable=max_re <= DEFAULT_STABILITY_TOL * max(1.0, rho),
     )

@@ -95,11 +95,32 @@ class TestCliCommands:
         assert rc == 2
 
     @pytest.mark.parametrize("config, key", [("operator_example", "tol_stability=1e-8"),
-                                             ("spectrum_modal_functions_outflow", "q_left=1.0")])
+                                             ("spectrum_modal_functions_outflow", "q_left=1.0"),
+                                             ("spectrum_modal_functions_outflow", "tol_stability=1e-8"),
+                                             ("rule_example", "seed=0"),
+                                             ("absorption_main", "seed=0"),
+                                             ("rule_example", 'output_dir="o"')])
     def test_removed_variant_keys_are_config_errors(self, tmp_path, config, key):
         rc = main(["run", "--config", str(CONFIG_DIR / f"{config}.cfg"), "--override", key,
                    "--output", str(tmp_path / "o")])
         assert rc == 2
+
+    @pytest.mark.parametrize("config, key", [
+        ("absorption_main", "rows=5"),
+        ("absorption_main", "rows=[[40]]"),
+        ("absorption_main", "rows=[5, 6, 7, 8]"),
+        ("coupling_validation", "h1_list=0.1"),
+        ("coupling_validation", "directions=\"ingoing\""),
+        ("coupling_validation", "directions=[\"sideways\"]"),
+        ("wavetrain_15nodes", "amplitude_list=0.05"),
+    ])
+    def test_malformed_list_keys_are_config_errors(self, tmp_path, capsys, config, key):
+        # rejected before any row runs, with the documented exit code
+        rc = main(["run", "--config", str(CONFIG_DIR / f"{config}.cfg"), "--override", key,
+                   "--output", str(tmp_path / "o")])
+        assert rc == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "results.csv").exists()
 
     def test_missing_config_file(self, tmp_path):
         rc = main(["run", "--config", str(tmp_path / "missing.cfg"),

@@ -15,15 +15,13 @@ from lagdg.coupled import (
 )
 from lagdg.dg import (
     DGOperator,
-    DGState,
     Mesh1D,
-    _from_blocks,
     _to_blocks,
     edge_values,
     eval_at_centers,
     project_dg,
 )
-from lagdg.scenarios import DGOnlyModel
+from lagdg.scenarios import DGOnlyModel, _advection_system
 from lagdg.semiinf import LaguerreModalOperator
 
 
@@ -137,12 +135,11 @@ class TestCoupledRhs:
             return q_star
 
         model, cfg, mesh, spec = small_model(left_bc=left_bc, left_mask=np.array([False, True]))
-        state = model.initial_state(lambda x: q_star[0] + 0.0 * x,
-                                    lambda x: q_star[1] + 0.0 * x)
-        semi = np.zeros((2, 15))
+        y = model.initial_state(lambda x: q_star[0] + 0.0 * x,
+                                lambda x: q_star[1] + 0.0 * x)
+        _, semi = model.split(y)
+        semi[:] = 0.0
         semi[:, 0] = q_star  # trace = q_star
-        state.semi.coeffs[:] = semi
-        y = model.pack(state)
         dot = model.rhs(0.0, y)
         assert np.max(np.abs(dot[: model._n_dg])) < 1e-12
 
@@ -150,8 +147,7 @@ class TestCoupledRhs:
         model, cfg, mesh, spec = small_model()
         h = lambda x: 0.05 * np.exp(-(((x - 40.0) / 6.0) ** 2))
         z = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-        state = model.initial_state(h, z)
-        y = model.pack(state)
+        y = model.initial_state(h, z)
         dot = model.rhs(0.0, y)
         semi_dot = dot[model._n_dg:]
         assert np.max(np.abs(semi_dot)) < 1e-10
@@ -182,13 +178,13 @@ class TestCoupledRhs:
         model, cfg, mesh, spec = small_model()
         h = lambda x: 0.1 * np.exp(-(((x - 50.0) / 8.0) ** 2))
         z = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-        y = model.pack(model.initial_state(h, z))
+        y = model.initial_state(h, z)
         energies = []
 
         def obs(step, t, yy):
-            st = model.unpack(yy, t)
-            energies.append(dg_energy(mesh, st.dg.coeffs, cfg.grav, cfg.H)
-                            + semi_energy(st.semi.coeffs, spec.beta, cfg.grav, cfg.H))
+            dg, semi = model.split(yy)
+            energies.append(dg_energy(mesh, dg, cfg.grav, cfg.H)
+                            + semi_energy(semi, spec.beta, cfg.grav, cfg.H))
 
         dt = 0.25 * mesh.dz / model.max_speed()
         run_simulation(model.rhs, y, 0.0, dt, 150, observers=[obs],
@@ -203,12 +199,10 @@ class TestCoupledRhs:
         h = lambda x: 0.1 * np.exp(-(((x - 80.0) / 6.0) ** 2))
         z = lambda x: np.zeros_like(np.asarray(x, dtype=float))
         dt = 0.25 * mesh.dz / model_d.max_speed()
-        yd = run_simulation(model_d.rhs, model_d.pack(model_d.initial_state(h, z)), 0.0, dt, 400)
-        y0 = run_simulation(model_0.rhs, model_0.pack(model_0.initial_state(h, z)), 0.0, dt, 400)
-        ed = model_d.unpack(yd)
-        e0 = model_0.unpack(y0)
-        total_d = semi_energy(ed.semi.coeffs, spec.beta, cfg.grav, cfg.H)
-        total_0 = semi_energy(e0.semi.coeffs, spec.beta, cfg.grav, cfg.H)
+        yd = run_simulation(model_d.rhs, model_d.initial_state(h, z), 0.0, dt, 400)
+        y0 = run_simulation(model_0.rhs, model_0.initial_state(h, z), 0.0, dt, 400)
+        total_d = semi_energy(model_d.split(yd)[1], spec.beta, cfg.grav, cfg.H)
+        total_0 = semi_energy(model_0.split(y0)[1], spec.beta, cfg.grav, cfg.H)
         assert total_d < 0.5 * total_0
 
 
@@ -225,42 +219,49 @@ class TestRunSimulation:
 
     def test_gaussian_translation_accuracy(self):
         # p=1 advection of a Gaussian: L2 error behaves like dz^2
-        from lagdg.scenarios import _advection_system
-
         sys = _advection_system(1.0)
         errs = []
         for nx in (50, 100):
             mesh = Mesh1D(1.0, nx)
             op = DGOperator(sys, mesh, 1, lambda t: np.array([0.0]), np.array([True]))
             f0 = lambda x: np.exp(-(((x - 0.3) / 0.08) ** 2))
-            blocks = _to_blocks(project_dg([f0], mesh, 1).coeffs)
             dt = 0.1 * mesh.dz
             n = int(round(0.25 / dt))
-            rhs = lambda t, y: op.rhs(y.reshape(blocks.shape), t, None).ravel()
-            yT = run_simulation(rhs, blocks.ravel(), 0.0, 0.25 / n, n)
-            num = eval_at_centers(DGState(_from_blocks(yT.reshape(blocks.shape), 1), 1))[:, 0]
+            rhs = lambda t, y: op.rhs(y.reshape(op.blocks_shape), t, None).ravel()
+            yT = run_simulation(rhs, op.project([f0]), 0.0, 0.25 / n, n)
+            num = op.centers(yT)[:, 0]
             ref = f0(mesh.centers - 0.25)
             errs.append(np.sqrt(mesh.dz * np.sum((num - ref) ** 2)))
         assert errs[1] < errs[0] / 3.0
 
 
 class TestLayout:
-    """The flat state stores DG coefficients component-major; DGState and
-    the cell-centre output keep their (n, d, p+1) and (n, d) shapes."""
+    """DGOperator owns the component-major layout of the flat state;
+    project_dg and the cell-centre output keep their (n, d, p+1) and
+    (n, d) shapes."""
 
     h = staticmethod(lambda x: 0.1 * np.exp(-(((x - 40.0) / 9.0) ** 2)) + 0.01 * x)
     u = staticmethod(lambda x: 0.02 * np.sin(0.2 * x))
 
+    @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("p", [0, 1, 3])
-    def test_coupled_pack_unpack_round_trip(self, p):
+    def test_operator_centers_match_projection(self, p, d):
+        funcs = [self.h, self.u][:d]
+        mesh = Mesh1D(100.0, 7)
+        op = DGOperator(swe_system(SWEConfig()) if d == 2 else _advection_system(1.0), mesh, p)
+        y = op.project(funcs)
+        assert y.shape == (7 * d * (p + 1),)
+        assert np.array_equal(op.centers(y), eval_at_centers(project_dg(funcs, mesh, p)))
+
+    @pytest.mark.parametrize("p", [0, 1, 3])
+    def test_coupled_split_views_the_flat_state(self, p):
         model = CoupledModel(SWEConfig(), Mesh1D(100.0, 7), p, BasisSpec("functions", 0.05, 9))
-        state = model.initial_state(self.h, self.u)
-        y = model.pack(state)
-        back = model.unpack(y)
-        assert np.array_equal(back.dg.coeffs, state.dg.coeffs)
-        assert np.array_equal(back.semi.coeffs, state.semi.coeffs)
-        assert np.array_equal(model.pack(back), y)
-        assert np.array_equal(model.centers_view(y), eval_at_centers(back.dg))
+        y = model.initial_state(self.h, self.u)
+        dg, semi = model.split(y)
+        assert np.shares_memory(dg, y) and np.shares_memory(semi, y)
+        assert np.array_equal(dg.ravel(), model.dg_op.project([self.h, self.u]))
+        assert semi.shape == (2, 10)
+        assert np.array_equal(model.centers_view(y), eval_at_centers(project_dg([self.h, self.u], model.mesh, p)))
 
     @pytest.mark.parametrize("p", [0, 1, 3])
     def test_dg_only_centers_match_projection(self, p):

@@ -1,10 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import lagdg
 from lagdg.coupled import SigmoidDamping, SWEConfig, swe_system
 from lagdg.dg import (
     DGOperator,
-    DGState,
     Mesh1D,
     _from_blocks,
     _to_blocks,
@@ -22,15 +24,16 @@ from lagdg.semiinf import flux_split
 class TestProjection:
     def test_constant(self):
         mesh = Mesh1D(2.0, 5)
-        state = project_dg([lambda z: 3.0 + 0.0 * z], mesh, 2)
-        assert state.coeffs[:, 0, 0] == pytest.approx(np.full(5, 3.0))
-        assert np.max(np.abs(state.coeffs[:, 0, 1:])) < 1e-14
+        coeffs = project_dg([lambda z: 3.0 + 0.0 * z], mesh, 2)
+        assert coeffs.shape == (5, 1, 3)
+        assert coeffs[:, 0, 0] == pytest.approx(np.full(5, 3.0))
+        assert np.max(np.abs(coeffs[:, 0, 1:])) < 1e-14
 
     def test_linear_exact(self):
         mesh = Mesh1D(1.0, 4)
-        state = project_dg([lambda z: 2.0 * z - 0.3], mesh, 1)
+        coeffs = project_dg([lambda z: 2.0 * z - 0.3], mesh, 1)
         xs = np.linspace(0.01, 0.99, 23)
-        vals = eval_at(state, mesh, xs)[0]
+        vals = eval_at(coeffs, mesh, xs)[0]
         assert vals == pytest.approx(2.0 * xs - 0.3, abs=1e-13)
 
     def test_gaussian_projection_error_scales(self):
@@ -38,9 +41,9 @@ class TestProjection:
         errs = []
         for nx in (8, 16, 32):
             mesh = Mesh1D(1.0, nx)
-            state = project_dg([f], mesh, 1)
+            coeffs = project_dg([f], mesh, 1)
             xs = np.linspace(0, 1, 301)
-            errs.append(np.max(np.abs(eval_at(state, mesh, xs)[0] - f(xs))))
+            errs.append(np.max(np.abs(eval_at(coeffs, mesh, xs)[0] - f(xs))))
         assert errs[2] < errs[1] < errs[0]
         assert errs[1] / errs[2] > 2.0
 
@@ -50,9 +53,9 @@ class TestRhs:
         sys = swe_system(SWEConfig())
         mesh = Mesh1D(10.0, 16)
         q_star = np.array([0.7, -0.2])
-        state = project_dg([lambda z: q_star[0] + 0.0 * z, lambda z: q_star[1] + 0.0 * z], mesh, 1)
         op = DGOperator(sys, mesh, 1, lambda t: q_star, np.array([False, True]))
-        rhs = op.rhs(_to_blocks(state.coeffs), 0.0, q_star)
+        y = op.project([lambda z: q_star[0] + 0.0 * z, lambda z: q_star[1] + 0.0 * z])
+        rhs = op.rhs(y.reshape(op.blocks_shape), 0.0, q_star)
         assert np.max(np.abs(rhs)) < 1e-13
 
     def test_p0_reduces_to_upwind_finite_volume(self):
@@ -81,9 +84,8 @@ class TestRhs:
         sys = _advection_system(1.0)
         mesh = Mesh1D(1.0, 40)
         f = lambda z: np.exp(-(((z - 0.35) / 0.05) ** 2))
-        state = project_dg([f], mesh, 1)
         op = DGOperator(sys, mesh, 1, lambda t: np.array([0.0]), np.array([True]))
-        rhs = _from_blocks(op.rhs(_to_blocks(state.coeffs), 0.0, None), 1)
+        rhs = _from_blocks(op.rhs(op.project([f]).reshape(op.blocks_shape), 0.0, None), 1)
         # total integral rate = dz * sum of constant-mode rates
         assert abs(mesh.dz * rhs[:, 0, 0].sum()) < 1e-10
 
@@ -112,19 +114,20 @@ class TestRhs:
 
 class TestTraceAndGhost:
     def test_trace_p0(self):
-        state = DGState(np.array([[[2.0]], [[5.0]]]), 0)
-        assert state.coeffs[-1] @ edge_values(0)[1] == pytest.approx([5.0])
+        op = DGOperator(_advection_system(1.0), Mesh1D(2.0, 2), 0)
+        assert op.right_trace(_to_blocks(np.array([[[2.0]], [[5.0]]]))) == pytest.approx([5.0])
 
     def test_trace_p1(self):
-        state = DGState(np.array([[[1.0, 0.5]]]), 1)
-        assert state.coeffs[-1] @ edge_values(1)[1] == pytest.approx([1.0 + np.sqrt(3) * 0.5])
+        op = DGOperator(_advection_system(1.0), Mesh1D(1.0, 1), 1)
+        assert op.right_trace(_to_blocks(np.array([[[1.0, 0.5]]]))) == pytest.approx([1.0 + np.sqrt(3) * 0.5])
 
     def test_trace_matches_eval(self):
         rng = np.random.default_rng(4)
-        state = DGState(rng.normal(size=(6, 2, 3)), 2)
+        coeffs = rng.normal(size=(6, 2, 3))
         mesh = Mesh1D(3.0, 6)
-        tr = state.coeffs[-1] @ edge_values(2)[1]
-        ev = eval_at(state, mesh, 3.0 - 1e-12)[:, 0]
+        tr = DGOperator(swe_system(SWEConfig()), mesh, 2).right_trace(_to_blocks(coeffs))
+        assert tr == pytest.approx(coeffs[-1] @ edge_values(2)[1], abs=1e-14)
+        ev = eval_at(coeffs, mesh, 3.0 - 1e-12)[:, 0]
         assert tr == pytest.approx(ev, abs=1e-9)
 
     def test_ghost_imposes_velocity(self):
@@ -184,5 +187,13 @@ class TestTraceAndGhost:
     def test_eval_at_centers_p1(self):
         rng = np.random.default_rng(5)
         coeffs = rng.normal(size=(4, 1, 2))
-        state = DGState(coeffs.copy(), 1)
-        assert eval_at_centers(state)[:, 0] == pytest.approx(coeffs[:, 0, 0])
+        assert eval_at_centers(coeffs)[:, 0] == pytest.approx(coeffs[:, 0, 0])
+
+
+def test_only_dg_knows_the_block_layout():
+    # coupled.py and scenarios.py go through DGOperator.project, centers
+    # and right_trace; the private layout helpers stay inside dg.py
+    src = Path(lagdg.__file__).parent
+    offenders = [f"{path.name}: {name}" for path in sorted(src.glob("*.py")) if path.name != "dg.py"
+                 for name in ("_to_blocks", "_from_blocks", "_edge_trace") if name in path.read_text()]
+    assert offenders == []

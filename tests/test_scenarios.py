@@ -45,8 +45,7 @@ class TestSmallScenarios:
         run_scenario({"scenario": "rule", "M": 6, "beta": 2.0}, tmp_path / "a")
         manifest = json.loads((tmp_path / "a" / "run_manifest.json").read_text())
         manifest.pop("scenario")
-        run_scenario({"scenario": "rule", **{k: v for k, v in manifest.items() if k != "seed"}},
-                     tmp_path / "b")
+        run_scenario({"scenario": "rule", **manifest}, tmp_path / "b")
         assert ((tmp_path / "a" / "rule.csv").read_bytes()
                 == (tmp_path / "b" / "rule.csv").read_bytes())
 

@@ -7,7 +7,6 @@ from lagdg.coupled import SWEConfig, swe_system
 from lagdg.semiinf import (
     HyperbolicSystem,
     LaguerreModalOperator,
-    ModalState,
     default_rule,
     flux_split,
     project,
@@ -60,15 +59,20 @@ class TestProjection:
     def test_basis_member_projects_to_unit_vector(self):
         spec = BasisSpec("functions", 1.0, 8)
         f = lambda z: laguerre_fun_table(2, z)[2]
-        state = project([f], spec)
+        coeffs = project([f], spec)
         e2 = np.zeros(9)
         e2[2] = 1.0
-        assert state.coeffs[0] == pytest.approx(e2, abs=1e-10)
+        assert coeffs.shape == (1, 9)
+        assert coeffs[0] == pytest.approx(e2, abs=1e-10)
 
     def test_zero_function(self):
         spec = BasisSpec("functions", 2.0, 5)
-        state = project([lambda z: np.zeros_like(z)], spec)
-        assert np.all(state.coeffs == 0)
+        assert np.all(project([lambda z: np.zeros_like(z)], spec) == 0)
+
+    def test_non_finite_values_rejected(self):
+        spec = BasisSpec("functions", 1.0, 5)
+        with pytest.raises(ValueError, match="non-finite"):
+            project([lambda z: np.full_like(z, np.nan)], spec)
 
     def test_reconstruction_convergence(self):
         f = lambda z: np.exp(-z)
@@ -77,8 +81,7 @@ class TestProjection:
         errs = []
         for M in (8, 16, 32):
             spec = BasisSpec("functions", 1.0, M)
-            state = project([f], spec)
-            vals = reconstruct(state, zs)[0]
+            vals = reconstruct(project([f], spec), spec, zs)[0]
             errs.append(np.max(np.abs(vals - f(zs)) / np.abs(f(zs))))
         assert errs[1] < errs[0] * 2 and errs[2] < errs[1] * 2
         assert errs[2] < errs[0]
@@ -87,33 +90,32 @@ class TestProjection:
         spec = BasisSpec("functions", 1.5, 10)
         rng = np.random.default_rng(4)
         coeffs = rng.normal(size=(1, 11))
-        state = ModalState(coeffs.copy(), spec)
         rule = default_rule(spec)
-        f = lambda z: reconstruct(state, z)[0]
+        f = lambda z: reconstruct(coeffs, spec, z)[0]
         back = project([f], spec, rule)
-        assert back.coeffs == pytest.approx(coeffs, abs=1e-9)
+        assert back == pytest.approx(coeffs, abs=1e-9)
 
     def test_reconstruct_at_origin_and_errors(self):
         spec = BasisSpec("functions", 1.0, 3)
-        state = ModalState(np.array([[1.0, 0.0, 0.0, 0.0]]), spec)
-        assert reconstruct(state, 0.0)[0, 0] == pytest.approx(1.0)
+        coeffs = np.array([[1.0, 0.0, 0.0, 0.0]])
+        assert reconstruct(coeffs, spec, 0.0)[0, 0] == pytest.approx(1.0)
         with pytest.raises(ValueError):
-            reconstruct(state, -0.5)
+            reconstruct(coeffs, spec, -0.5)
 
 
 class TestTrace:
     def test_zero_and_plain_sum(self):
+        # every Lhat_j is 1 at the origin, so the trace is the plain coefficient sum
         spec = BasisSpec("functions", 1.0, 2)
-        assert ModalState(np.zeros((2, 3)), spec).coeffs.sum(axis=1) == pytest.approx([0.0, 0.0])
-        st = ModalState(np.array([[1.0, -1.0, 0.5]]), spec)
-        assert st.coeffs.sum(axis=1) == pytest.approx([0.5])
+        assert reconstruct(np.zeros((2, 3)), spec, 0.0)[:, 0] == pytest.approx([0.0, 0.0])
+        assert reconstruct(np.array([[1.0, -1.0, 0.5]]), spec, 0.0)[:, 0] == pytest.approx([0.5])
 
     def test_matches_series_evaluation(self):
         spec = BasisSpec("functions", 0.7, 14)
         f = lambda z: np.exp(-0.5 * z) * np.cos(z)
-        state = project([f], spec)
-        tr = state.coeffs.sum(axis=1)
-        assert tr[0] == pytest.approx(reconstruct(state, 0.0)[0, 0], abs=1e-12)
+        coeffs = project([f], spec)
+        tr = coeffs.sum(axis=1)
+        assert tr[0] == pytest.approx(reconstruct(coeffs, spec, 0.0)[0, 0], abs=1e-12)
 
 
 class TestModalRhs:
@@ -223,12 +225,11 @@ class TestModalRhs:
 
 class TestStateValidation:
     def test_requires_function_basis(self):
-        with pytest.raises(ValueError):
-            ModalState(np.zeros((1, 4)), BasisSpec("polynomials", 1.0, 3))
-
-    def test_shape_check(self):
-        with pytest.raises(ValueError):
-            ModalState(np.zeros((1, 5)), BasisSpec("functions", 1.0, 3))
+        spec = BasisSpec("polynomials", 1.0, 3)
+        with pytest.raises(ValueError, match="function basis"):
+            project([lambda z: np.ones_like(z)], spec)
+        with pytest.raises(ValueError, match="function basis"):
+            LaguerreModalOperator(scalar_system(1.0), spec)
 
     @pytest.mark.parametrize("shape", [(2, 3), (2,), (2, 2, 2)], ids=["rect", "vector", "3d"])
     def test_system_matrix_must_be_square(self, shape):
