@@ -6,7 +6,9 @@ solve appears in the update.  Interfaces use the characteristic upwind
 flux F(qm, qp) = A+ qm + A- qp; the same closure handles the physical
 boundaries through ghost states (Dirichlet data on incoming
 characteristics, interior trace on outgoing ones).  The left closure is
-a linear map built once per operator.
+a linear map built once per operator, and so are the maps that take an
+element's coefficients to its edge trace and lift a boundary flux back
+onto the coefficients.
 """
 
 from __future__ import annotations
@@ -133,15 +135,6 @@ def _from_blocks(blocks: np.ndarray, d: int) -> np.ndarray:
     return np.ascontiguousarray(blocks.T).reshape(blocks.shape[1], d, -1)
 
 
-def _edge_trace(blocks: np.ndarray, element: int, d: int, edge: np.ndarray) -> np.ndarray:
-    """Value of one element at one end; edge is edge_values(p)[0] or [1].
-
-    The column is copied first: a product over the strided view rounds
-    differently from one over contiguous (d, p+1) coefficients.
-    """
-    return np.ascontiguousarray(blocks[:, element]).reshape(d, -1) @ edge
-
-
 class DGOperator:
     """Prepared DG right-hand side for an undamped constant-coefficient system.
 
@@ -154,7 +147,12 @@ class DGOperator:
     incoming characteristics) and left_bc is a callable t -> values of all
     d components, of which only the masked ones are read.  Both or neither
     are given; without them the boundary is transmissive.  The closure is
-    built once; only the two boundary ghost states are formed per call.
+    built once, and so are the boundary maps: the edge traces
+    kron(I, e_l^T) and kron(I, e_r^T) take an element's coefficients to
+    its (d,) end values, and the lifts kron(A+, e_l) / dz and
+    -kron(A-, e_r) / dz add a boundary state's upwind flux to the first
+    and last element.  Per call the two edge traces, the left ghost and
+    the two lifted fluxes are small matrix-vector products.
     rhs acts on the component-major coefficient array of shape
     blocks_shape; project, centers and right_trace convert between that
     layout and the flat state, the profiles and the cell-centre output.
@@ -171,13 +169,17 @@ class DGOperator:
         self.blocks_shape = (sys.d * (p + 1), mesh.n_elements)
         self._left_bc = left_bc
         self._closure = characteristic_closure(sys.eig, left_mask)
-        self.a_plus, self.a_minus = flux_split(sys.a, sys.eig)
-        self.e_left, self.e_right = edge_values(p)
-        ap, am, el, er = self.a_plus, self.a_minus, self.e_left, self.e_right
+        ap, am = flux_split(sys.a, sys.eig)
+        el, er = edge_values(p)
         self.diag = (np.kron(sys.a, stiffness_coupling(p)) - np.kron(ap, np.outer(er, er))
                      + np.kron(am, np.outer(el, el))) / mesh.dz
         self.lower = np.kron(ap, np.outer(el, er)) / mesh.dz
         self.upper = -np.kron(am, np.outer(er, el)) / mesh.dz
+        eye = np.eye(sys.d)
+        self.trace_left = np.kron(eye, el)
+        self.trace_right = np.kron(eye, er)
+        self.lift_left = np.kron(ap, el[:, None]) / mesh.dz
+        self.lift_right = -np.kron(am, er[:, None]) / mesh.dz
 
     def rhs(self, blocks: np.ndarray, t: float, right_exterior: np.ndarray | None) -> np.ndarray:
         """Time derivative of component-major (d(p+1), n) coefficients.
@@ -185,18 +187,15 @@ class DGOperator:
         right_exterior is the exterior state at z = L, or None for the
         interior trace.
         """
-        d = self.sys.d
         out = self.diag @ blocks
         out[:, 1:] += self.lower @ blocks[:, :-1]
         out[:, :-1] += self.upper @ blocks[:, 1:]
 
         values = self._left_bc(t) if self._left_bc is not None else None
-        ghost_left = characteristic_ghost(self._closure, _edge_trace(blocks, 0, d, self.e_left), values)
+        out[:, 0] += self.lift_left @ characteristic_ghost(self._closure, self.trace_left @ blocks[:, 0], values)
         if right_exterior is None:
-            right_exterior = _edge_trace(blocks, -1, d, self.e_right)
-        dz = self.mesh.dz
-        out[:, 0] += ((self.a_plus @ ghost_left)[:, None] * self.e_left).ravel() / dz
-        out[:, -1] -= ((self.a_minus @ right_exterior)[:, None] * self.e_right).ravel() / dz
+            right_exterior = self.trace_right @ blocks[:, -1]
+        out[:, -1] += self.lift_right @ right_exterior
         return out
 
     def project(self, component_funcs) -> np.ndarray:
@@ -209,7 +208,7 @@ class DGOperator:
 
     def right_trace(self, blocks: np.ndarray) -> np.ndarray:
         """Interior state (d,) at z = L of component-major coefficients."""
-        return _edge_trace(blocks, -1, self.sys.d, self.e_right)
+        return self.trace_right @ blocks[:, -1]
 
 
 def project_dg(component_funcs, mesh: Mesh1D, p: int) -> np.ndarray:

@@ -79,13 +79,19 @@ def parse_value(text: str):
         return text
 
 
+def _kind(value) -> str:
+    """Type a config value is checked against; ints and floats are both numbers."""
+    return "number" if isinstance(value, (int, float)) and not isinstance(value, bool) else type(value).__name__
+
+
 def resolve_config(defaults: dict, cfg: dict, scenario: str) -> dict:
     unknown = [k for k in cfg if k not in defaults and k != "scenario"]
     if unknown:
         raise ConfigError(f"unknown keys for scenario {scenario!r}: {unknown}")
-    not_lists = [k for k, v in cfg.items() if isinstance(defaults.get(k), list) and not isinstance(v, list)]
-    if not_lists:
-        raise ConfigError(f"keys {not_lists} of scenario {scenario!r} take a list")
+    for k, v in cfg.items():
+        kind = _kind(defaults[k][0]) if isinstance(defaults.get(k), list) else None
+        if kind and not (isinstance(v, list) and all(_kind(x) == kind for x in v)):
+            raise ConfigError(f"key {k!r} of scenario {scenario!r} takes a list, each element a {kind}; got {v!r}")
     return {**defaults, **{k: v for k, v in cfg.items() if k in defaults}, "scenario": scenario}
 
 
@@ -391,7 +397,7 @@ def _absorption_row(cfg: dict, row, outdir: Path) -> dict:
 
 
 def run_gaussian_absorption(cfg: dict, outdir: Path) -> dict:
-    bad = [r for r in cfg["rows"] if not isinstance(r, list) or len(r) != 4]
+    bad = [r for r in cfg["rows"] if len(r) != 4 or any(_kind(x) != "number" for x in r)]
     if bad:
         raise ConfigError(f"rows {bad} are not [semi_nodes, nx, steps, beta]")
     rows = _map_rows(lambda r: _absorption_row(cfg, r, outdir), list(cfg["rows"]))

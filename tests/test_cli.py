@@ -113,6 +113,9 @@ class TestCliCommands:
         ("coupling_validation", "directions=\"ingoing\""),
         ("coupling_validation", "directions=[\"sideways\"]"),
         ("wavetrain_15nodes", "amplitude_list=0.05"),
+        ("coupling_validation", "h1_list=[\"a\"]"),
+        ("wavetrain_15nodes", "amplitude_list=[[0.05]]"),
+        ("absorption_main", "rows=[[40, 400, 600, [0.01]]]"),
     ])
     def test_malformed_list_keys_are_config_errors(self, tmp_path, capsys, config, key):
         # rejected before any row runs, with the documented exit code

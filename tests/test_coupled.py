@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import lagdg.dg
 from lagdg.basis import BasisSpec
 from lagdg.coupled import (
     CoupledModel,
@@ -270,3 +273,54 @@ class TestLayout:
         y = model.initial_state(self.h, self.u)
         expect = eval_at_centers(project_dg([self.h, self.u], mesh, p))
         assert np.array_equal(model.centers_view(y), expect)
+
+
+class TestCallContract:
+    """Per RK3 stage each model makes one DGOperator.rhs call, which forms
+    its left ghost with one characteristic_ghost call, and a coupled model
+    makes one LaguerreModalOperator.rhs call per CoupledModel.rhs call.
+    The benchmark's traced run asserts the same counts."""
+
+    n_steps = 4
+
+    @staticmethod
+    def _model(kind):
+        mesh = Mesh1D(2000.0, 20)
+        spec = BasisSpec("functions", 0.01, 9)
+        damped = SWEConfig(damping=SigmoidDamping(dgamma=0.1, L0=500.0))
+        forcing = dict(left_bc=lambda t: np.array([0.0, 0.01 * np.sin(0.1 * t)]),
+                       left_mask=np.array([False, True]))
+        if kind == "coupled":
+            return CoupledModel(damped, mesh, 1, spec)
+        if kind == "masked-coupled":
+            return CoupledModel(damped, mesh, 1, spec, **forcing)
+        if kind == "wall":
+            return DGOnlyModel(SWEConfig(), mesh, 1, reflect_right=True)
+        return DGOnlyModel(SWEConfig(), Mesh1D(4000.0, 40), 1)
+
+    @pytest.mark.parametrize("kind", ["coupled", "masked-coupled", "wall", "reference"])
+    def test_calls_per_stage(self, kind, monkeypatch):
+        counts = Counter()
+
+        def count(owner, name):
+            inner = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                counts[name if owner is lagdg.dg else f"{owner.__name__}.{name}"] += 1
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+
+        count(lagdg.dg, "characteristic_ghost")
+        count(DGOperator, "rhs")
+        count(LaguerreModalOperator, "rhs")
+        count(CoupledModel, "rhs")
+        model = self._model(kind)
+        y0 = model.initial_state(lambda x: 0.1 * np.exp(-(((x - 1000.0) / 300.0) ** 2)), np.zeros_like)
+        run_simulation(model.rhs, y0, 0.0, 5.0, self.n_steps)
+
+        stages = 3 * self.n_steps
+        coupled = isinstance(model, CoupledModel)
+        assert counts["DGOperator.rhs"] == stages
+        assert counts["characteristic_ghost"] == counts["DGOperator.rhs"]
+        assert counts["CoupledModel.rhs"] == (stages if coupled else 0)
+        assert counts["LaguerreModalOperator.rhs"] == counts["CoupledModel.rhs"]

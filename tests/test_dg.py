@@ -190,10 +190,33 @@ class TestTraceAndGhost:
         assert eval_at_centers(coeffs)[:, 0] == pytest.approx(coeffs[:, 0, 0])
 
 
+@pytest.mark.parametrize("boundary", ["transmissive", "masked-left", "prescribed-right"])
+@pytest.mark.parametrize("p", [0, 1, 3])
+def test_rhs_and_trace_return_fresh_arrays(p, boundary):
+    # the hot path may not write to its input nor hand back a view of the
+    # state or of a temporary
+    kw = {}
+    if boundary == "masked-left":
+        kw = dict(left_bc=lambda t: np.array([0.0, 0.3]), left_mask=np.array([False, True]))
+    right = np.array([0.2, -0.1]) if boundary == "prescribed-right" else None
+    op = DGOperator(swe_system(SWEConfig()), Mesh1D(10.0, 5), p, **kw)
+    blocks = np.random.default_rng(p).normal(size=op.blocks_shape)
+    before = blocks.copy()
+    out = op.rhs(blocks, 0.0, right)
+    assert np.array_equal(blocks, before)
+    assert out.shape == op.blocks_shape
+    assert not np.shares_memory(out, blocks)
+    if right is not None:
+        assert np.array_equal(right, [0.2, -0.1]) and not np.shares_memory(out, right)
+    trace = op.right_trace(blocks)
+    assert trace.shape == (2,) and trace.flags.owndata
+    assert not np.shares_memory(trace, blocks)
+
+
 def test_only_dg_knows_the_block_layout():
     # coupled.py and scenarios.py go through DGOperator.project, centers
     # and right_trace; the private layout helpers stay inside dg.py
     src = Path(lagdg.__file__).parent
     offenders = [f"{path.name}: {name}" for path in sorted(src.glob("*.py")) if path.name != "dg.py"
-                 for name in ("_to_blocks", "_from_blocks", "_edge_trace") if name in path.read_text()]
+                 for name in ("_to_blocks", "_from_blocks") if name in path.read_text()]
     assert offenders == []

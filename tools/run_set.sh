@@ -6,6 +6,11 @@
 #   tools/run_set.sh /tmp/b          # in the second
 #   diff -r /tmp/a /tmp/b
 #
+# For a change that is not byte-identical, tools/run_set_diff.py A B prints
+# each numeric column's largest change against the column's scale and
+# exits 1 when file sets or non-numeric cells differ, or a column moves by
+# more than 1e-10 of its scale.
+#
 # Every shipped config is run.  coupling_validation runs 200 steps each way
 # and both wavetrain configs run to T = 100 s, so the set takes well under
 # a minute; all three write snapshots.
