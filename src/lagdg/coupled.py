@@ -181,8 +181,8 @@ def run_simulation(rhs: Callable, y0: np.ndarray, t0: float, dt: float, n_steps:
 
 def dg_energy(mesh: Mesh1D, blocks: np.ndarray, grav: float, H: float) -> float:
     """(1/2) integral of (g h^2 + H u^2) over the finite domain, from the
-    DG blocks of CoupledModel.split (component-major: h rows, then u rows)."""
-    h, u = np.split(blocks, 2)
+    DG blocks of CoupledModel.split (element-major: h columns, then u columns)."""
+    h, u = np.split(blocks, 2, axis=1)
     return 0.5 * mesh.dz * float(grav * np.sum(h ** 2) + H * np.sum(u ** 2))
 
 

@@ -119,20 +119,19 @@ def characteristic_ghost(closure, q_interior: np.ndarray, values: np.ndarray | N
     return g_int @ q_interior + g_bc @ values
 
 
-# The DG part of a flat state is stored component-major: a (d(p+1), n)
-# array whose column m holds element m's (d, p+1) coefficients, so the
-# block products act on all elements in one matrix product.  These
+# The DG part of a flat state is stored element-major: row m of the
+# (n, d(p+1)) array holds element m's (d, p+1) coefficients.  These
 # helpers and DGOperator are the only code that knows that layout.
 
 
 def _to_blocks(coeffs: np.ndarray) -> np.ndarray:
-    """(n, d, p+1) coefficients -> component-major (d(p+1), n) array."""
-    return np.ascontiguousarray(coeffs.reshape(coeffs.shape[0], -1).T)
+    """(n, d, p+1) coefficients -> element-major (n, d(p+1)) array."""
+    return coeffs.reshape(coeffs.shape[0], -1)
 
 
 def _from_blocks(blocks: np.ndarray, d: int) -> np.ndarray:
-    """Component-major (d(p+1), n) array -> (n, d, p+1) coefficients."""
-    return np.ascontiguousarray(blocks.T).reshape(blocks.shape[1], d, -1)
+    """Element-major (n, d(p+1)) array -> (n, d, p+1) coefficients."""
+    return blocks.reshape(blocks.shape[0], d, -1)
 
 
 class DGOperator:
@@ -141,21 +140,20 @@ class DGOperator:
     The interior operator is block tridiagonal over elements and is built
     once: a diagonal block (volume term and both own-edge fluxes), a lower
     block (A+ inflow from the left neighbour) and an upper block (A- inflow
-    from the right neighbour), each acting on an element's flattened
-    (d, p+1) coefficients.  The operator owns its left boundary: left_mask
-    marks the prescribed components (their count must equal the number of
-    incoming characteristics) and left_bc is a callable t -> values of all
-    d components, of which only the masked ones are read.  Both or neither
-    are given; without them the boundary is transmissive.  The closure is
-    built once, and so are the boundary maps: the edge traces
-    kron(I, e_l^T) and kron(I, e_r^T) take an element's coefficients to
-    its (d,) end values, and the lifts kron(A+, e_l) / dz and
-    -kron(A-, e_r) / dz add a boundary state's upwind flux to the first
-    and last element.  Per call the two edge traces, the left ghost and
-    the two lifted fluxes are small matrix-vector products.
-    rhs acts on the component-major coefficient array of shape
-    blocks_shape; project, centers and right_trace convert between that
-    layout and the flat state, the profiles and the cell-centre output.
+    from the right neighbour).  The operator owns its left boundary:
+    left_mask marks the prescribed components (their count must equal the
+    number of incoming characteristics) and left_bc is a callable t ->
+    values of all d components, of which only the masked ones are read.
+    Both or neither are given; without them the boundary is transmissive.
+    The closure is built once, and so are the boundary maps: the edge
+    traces kron(I, e_l^T) and kron(I, e_r^T) take an element's
+    coefficients to its (d,) end values, and the lifts kron(A+, e_l) / dz
+    and -kron(A-, e_r) / dz add a boundary state's upwind flux to the
+    first and last element.  Each map is stored as its C-contiguous
+    transpose and acts from the right on the element rows of the
+    element-major array of shape blocks_shape; project, centers and
+    right_trace convert between that layout and the flat state, the
+    profiles and the cell-centre output.
     """
 
     def __init__(self, sys: HyperbolicSystem, mesh: Mesh1D, p: int, left_bc=None, left_mask=None):
@@ -166,7 +164,7 @@ class DGOperator:
         self.sys = sys
         self.mesh = mesh
         self.p = p
-        self.blocks_shape = (sys.d * (p + 1), mesh.n_elements)
+        self.blocks_shape = (mesh.n_elements, sys.d * (p + 1))
         self._left_bc = left_bc
         self._closure = characteristic_closure(sys.eig, left_mask)
         ap, am = flux_split(sys.a, sys.eig)
@@ -180,35 +178,37 @@ class DGOperator:
         self.trace_right = np.kron(eye, er)
         self.lift_left = np.kron(ap, el[:, None]) / mesh.dz
         self.lift_right = -np.kron(am, er[:, None]) / mesh.dz
+        for name in ("diag", "lower", "upper", "trace_left", "trace_right", "lift_left", "lift_right"):
+            setattr(self, name, np.ascontiguousarray(getattr(self, name).T))  # no .T views: they are slower
 
     def rhs(self, blocks: np.ndarray, t: float, right_exterior: np.ndarray | None) -> np.ndarray:
-        """Time derivative of component-major (d(p+1), n) coefficients.
+        """Time derivative of element-major (n, d(p+1)) coefficients.
 
         right_exterior is the exterior state at z = L, or None for the
         interior trace.
         """
-        out = self.diag @ blocks
-        out[:, 1:] += self.lower @ blocks[:, :-1]
-        out[:, :-1] += self.upper @ blocks[:, 1:]
+        out = blocks @ self.diag
+        out[1:] += blocks[:-1] @ self.lower
+        out[:-1] += blocks[1:] @ self.upper
 
         values = self._left_bc(t) if self._left_bc is not None else None
-        out[:, 0] += self.lift_left @ characteristic_ghost(self._closure, self.trace_left @ blocks[:, 0], values)
+        out[0] += characteristic_ghost(self._closure, blocks[0] @ self.trace_left, values) @ self.lift_left
         if right_exterior is None:
-            right_exterior = self.trace_right @ blocks[:, -1]
-        out[:, -1] += self.lift_right @ right_exterior
+            right_exterior = blocks[-1] @ self.trace_right
+        out[-1] += right_exterior @ self.lift_right
         return out
 
     def project(self, component_funcs) -> np.ndarray:
-        """Flat component-major coefficients of the L2 projection (project_dg)."""
-        return _to_blocks(project_dg(component_funcs, self.mesh, self.p)).ravel()
+        """Flat element-major coefficients of the L2 projection (project_dg)."""
+        return project_dg(component_funcs, self.mesh, self.p).ravel()
 
     def centers(self, y: np.ndarray) -> np.ndarray:
         """Cell-centre values (n_elements, d) of flat or blocked coefficients."""
         return eval_at_centers(_from_blocks(y.reshape(self.blocks_shape), self.sys.d))
 
     def right_trace(self, blocks: np.ndarray) -> np.ndarray:
-        """Interior state (d,) at z = L of component-major coefficients."""
-        return self.trace_right @ blocks[:, -1]
+        """Interior state (d,) at z = L of element-major coefficients."""
+        return blocks[-1] @ self.trace_right
 
 
 def project_dg(component_funcs, mesh: Mesh1D, p: int) -> np.ndarray:

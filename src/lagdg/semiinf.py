@@ -60,6 +60,17 @@ def default_rule(spec: BasisSpec) -> QuadratureRule:
     return build_rule(NODES_GLR, LAGUERRE_FUNCTIONS, spec.beta, spec.M)
 
 
+def _matching_rule(spec: BasisSpec, rule: QuadratureRule | None) -> QuadratureRule:
+    """rule, or default_rule(spec) when None; any other rule than spec's GLR
+    function-basis rule would build a wrong reaction matrix or projection."""
+    if rule is None:
+        return default_rule(spec)
+    if (rule.node_kind, rule.basis_kind, rule.beta, rule.M) != (NODES_GLR, LAGUERRE_FUNCTIONS, spec.beta, spec.M):
+        raise ValueError(f"rule ({rule.node_kind}, {rule.basis_kind}, beta={rule.beta}, M={rule.M}) is not "
+                         f"the GLR function-basis rule of the basis (beta={spec.beta}, M={spec.M})")
+    return rule
+
+
 def basis_values_at_nodes(spec: BasisSpec, rule: QuadratureRule) -> np.ndarray:
     """Table Phi[j, l] = Lhat_j(z_l) on the rule's nodes."""
     return laguerre_fun_table(spec.M, spec.beta * rule.nodes)
@@ -70,10 +81,7 @@ def project(component_funcs, spec: BasisSpec, rule: QuadratureRule | None = None
     shape (d, M+1)."""
     if spec.kind != LAGUERRE_FUNCTIONS:
         raise ValueError("modal projection uses the Laguerre function basis")
-    if rule is None:
-        rule = default_rule(spec)
-    if rule.basis_kind != LAGUERRE_FUNCTIONS:
-        raise ValueError("projection rule must carry the function-basis weights")
+    rule = _matching_rule(spec, rule)
     phi = basis_values_at_nodes(spec, rule)
     fvals = np.array([np.asarray(f(rule.nodes), dtype=float) for f in component_funcs])
     coeffs = spec.beta * (fvals * rule.weights) @ phi.T
@@ -108,7 +116,7 @@ class LaguerreModalOperator:
             raise ValueError("modal operator requires the Laguerre function basis")
         self.sys = sys
         self.spec = spec
-        self.rule = rule if rule is not None else default_rule(spec)
+        self.rule = _matching_rule(spec, rule)
         beta, M = spec.beta, spec.M
         self.a_plus, self.a_minus = flux_split(sys.a, sys.eig)
 

@@ -25,7 +25,7 @@ from lagdg.dg import (
     project_dg,
 )
 from lagdg.scenarios import DGOnlyModel, _advection_system
-from lagdg.semiinf import LaguerreModalOperator
+from lagdg.semiinf import LaguerreModalOperator, project as project_semi
 
 
 class TestSWESystem:
@@ -239,7 +239,7 @@ class TestRunSimulation:
 
 
 class TestLayout:
-    """DGOperator owns the component-major layout of the flat state;
+    """DGOperator owns the element-major layout of the flat state;
     project_dg and the cell-centre output keep their (n, d, p+1) and
     (n, d) shapes."""
 
@@ -273,6 +273,37 @@ class TestLayout:
         y = model.initial_state(self.h, self.u)
         expect = eval_at_centers(project_dg([self.h, self.u], mesh, p))
         assert np.array_equal(model.centers_view(y), expect)
+
+
+class TestEnergies:
+    """dg_energy and semi_energy against closed forms, with h != u so that
+    a mix-up of the h and u parts of a split state fails directly."""
+
+    cfg = SWEConfig(H=2.0, grav=9.81)
+
+    def test_dg_energy_of_linear_profiles(self):
+        # the p = 1 projection of a linear profile is exact; on [0, L]
+        # integral (a + b x)^2 dx = a^2 L + a b L^2 + b^2 L^3 / 3
+        L = 10.0
+        model = CoupledModel(self.cfg, Mesh1D(L, 8), 1, BasisSpec("functions", 0.5, 6))
+        y = model.initial_state(lambda x: 0.3 + 0.02 * x, lambda x: -0.1 + 0.05 * x)
+        square = lambda a, b: a * a * L + a * b * L ** 2 + b * b * L ** 3 / 3.0
+        expect = 0.5 * (self.cfg.grav * square(0.3, 0.02) + self.cfg.H * square(-0.1, 0.05))
+        got = dg_energy(model.mesh, model.split(y)[0], self.cfg.grav, self.cfg.H)
+        assert got == pytest.approx(expect, rel=1e-13, abs=0.0)
+
+    def test_semi_energy_of_the_first_basis_functions(self):
+        # h = Lhat_0(beta z) = exp(-beta z / 2) and u = Lhat_1(beta z) / 2 are
+        # orthogonal with norm^2 1 / beta, so the energy is (g + H / 4) / (2 beta)
+        beta = 0.05
+        spec = BasisSpec("functions", beta, 12)
+        h = lambda z: np.exp(-beta * z / 2.0)
+        u = lambda z: 0.5 * np.exp(-beta * z / 2.0) * (1.0 - beta * z)
+        got = semi_energy(project_semi([h, u], spec), beta, self.cfg.grav, self.cfg.H)
+        expect = (self.cfg.grav + 0.25 * self.cfg.H) / (2.0 * beta)
+        assert got == pytest.approx(expect, rel=1e-13, abs=0.0)
+        assert semi_energy(project_semi([h, lambda z: 0.0 * z], spec), beta, self.cfg.grav, self.cfg.H) \
+            == pytest.approx(self.cfg.grav / (2.0 * beta), rel=1e-13, abs=0.0)
 
 
 class TestCallContract:

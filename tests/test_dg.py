@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import lagdg
-from lagdg.coupled import SigmoidDamping, SWEConfig, swe_system
+from lagdg.basis import BasisSpec
+from lagdg.coupled import CoupledModel, SigmoidDamping, SWEConfig, swe_system
 from lagdg.dg import (
     DGOperator,
     Mesh1D,
@@ -220,3 +221,23 @@ def test_only_dg_knows_the_block_layout():
     offenders = [f"{path.name}: {name}" for path in sorted(src.glob("*.py")) if path.name != "dg.py"
                  for name in ("_to_blocks", "_from_blocks") if name in path.read_text()]
     assert offenders == []
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("p", [0, 1, 3])
+def test_element_major_layout_contract(p, d):
+    # row m of the blocks is element m's flattened (d, p+1) coefficients,
+    # and every stored map is a C-contiguous right-multiplication matrix
+    # (a transposed view makes the products measurably slower)
+    mesh = Mesh1D(10.0, 7)
+    sys = _advection_system(0.8) if d == 1 else swe_system(SWEConfig(U=0.3))
+    op = DGOperator(sys, mesh, p)
+    funcs = [np.sin, np.cos][:d]
+    assert op.blocks_shape == (7, d * (p + 1))
+    assert np.array_equal(op.project(funcs), project_dg(funcs, mesh, p).ravel())
+    for name in ("diag", "lower", "upper", "trace_left", "trace_right", "lift_left", "lift_right"):
+        assert getattr(op, name).flags.c_contiguous, name
+    if d == 2:
+        model = CoupledModel(SWEConfig(U=0.3), mesh, p, BasisSpec("functions", 0.5, 6))
+        y = model.initial_state(np.sin, np.cos)
+        assert np.shares_memory(model.split(y)[0], y)

@@ -87,14 +87,14 @@ def reference_modal_rhs(sys, spec, coeffs, boundary_g):
 
 def reference_coupled_rhs(model, t, y, left_bc, mask):
     n_dg, n = model._n_dg, model.mesh.n_elements
-    # the flat DG part is component-major: (d(p+1), n)
-    dg = y[:n_dg].reshape(-1, n).T.reshape(n, 2, model.p + 1)
+    # the flat DG part is element-major: (n, d(p+1))
+    dg = y[:n_dg].reshape(n, 2, model.p + 1)
     semi = y[n_dg:].reshape(2, model.spec.M + 1)
     values = left_bc(t) if left_bc is not None else None
     dg_dot = reference_dg_rhs(replace(model.sys_semi, b=None), model.mesh, model.p, dg,
                               values, mask, semi.sum(axis=1))
     semi_dot = reference_modal_rhs(model.sys_semi, model.spec, semi, dg[-1] @ edge_values(model.p)[1])
-    return np.concatenate([dg_dot.reshape(n, -1).T.ravel(), semi_dot.ravel()])
+    return np.concatenate([dg_dot.ravel(), semi_dot.ravel()])
 
 
 def assert_close(got, expect):

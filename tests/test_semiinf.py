@@ -4,6 +4,7 @@ import pytest
 from lagdg.advection import SchemeVariant, apply, assemble
 from lagdg.basis import BasisSpec, laguerre_fun_table
 from lagdg.coupled import SWEConfig, swe_system
+from lagdg.quadrature import build_rule
 from lagdg.semiinf import (
     HyperbolicSystem,
     LaguerreModalOperator,
@@ -230,6 +231,26 @@ class TestStateValidation:
             project([lambda z: np.ones_like(z)], spec)
         with pytest.raises(ValueError, match="function basis"):
             LaguerreModalOperator(scalar_system(1.0), spec)
+
+    @pytest.mark.parametrize("rule_args", [("glr", 0.02, 20), ("glr", 0.01, 10), ("gl", 0.01, 20)],
+                             ids=["beta", "M", "gl-nodes"])
+    def test_rule_must_match_basis(self, rule_args):
+        # a rule of another beta, M or node kind would build a wrong K and projection
+        from lagdg.coupled import CoupledModel, SigmoidDamping
+        from lagdg.dg import Mesh1D
+
+        node_kind, beta, M = rule_args
+        spec = BasisSpec("functions", 0.01, 20)
+        rule = build_rule(node_kind, "functions", beta, M)
+        damped = SWEConfig(damping=SigmoidDamping(dgamma=0.1, L0=500.0))
+        with pytest.raises(ValueError, match="not the GLR function-basis rule"):
+            LaguerreModalOperator(swe_system(damped), spec, rule)
+        with pytest.raises(ValueError, match="not the GLR function-basis rule"):
+            project([np.exp], spec, rule)
+        with pytest.raises(ValueError, match="not the GLR function-basis rule"):
+            CoupledModel(damped, Mesh1D(10.0, 4), 1, spec, rule=rule)
+        matching = build_rule("glr", "functions", 0.01, 20)
+        assert LaguerreModalOperator(swe_system(damped), spec, matching).rule is matching
 
     @pytest.mark.parametrize("shape", [(2, 3), (2,), (2, 2, 2)], ids=["rect", "vector", "3d"])
     def test_system_matrix_must_be_square(self, shape):

@@ -39,3 +39,40 @@ def test_rounding_level_move_passes_and_is_reported(tmp_path, capsys):
 ], ids=["moved", "text", "files"])
 def test_differences_fail(tmp_path, b_kwargs):
     assert run_set_diff.main([str(_tree(tmp_path / "a")), str(_tree(tmp_path / "b", **b_kwargs))]) == 1
+
+
+_pairs_spec = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_pairs_spec)
+_pairs_spec.loader.exec_module(bench_pairs)
+
+_END_TO_END = [{"name": "wall_s", "unit": "s", "better": "lower"},
+               {"name": "dof_steps_per_s", "unit": "1/s", "better": "higher"},
+               {"name": "variants_per_s", "unit": "1/s", "better": "higher"}]
+
+
+def _result(wall_s, rate, failed=0):
+    return {"correct": failed == 0, "attempted": 3, "failed": failed,
+            "metrics": {"wall_s": {"value": wall_s, "unit": "s"},
+                        "dof_steps_per_s": {"value": rate, "unit": "1/s"}}}
+
+
+def test_bench_pairs_summary_counts_wins_by_direction():
+    # the change is faster in pairs 1, 2 and 4 and slower in pair 3
+    pairs = [(_result(2.0, 1.0), _result(1.0, 2.0)), (_result(3.0, 1.5), _result(2.5, 1.6)),
+             (_result(1.0, 2.0), _result(1.5, 1.0)), (_result(4.0, 1.2), _result(2.0, 3.0))]
+    lines, ok = bench_pairs.summarize(pairs, _END_TO_END)
+    assert ok and lines[0] == "4 pairs; every run correct: True"
+    wall, rate = lines[1:]   # variants_per_s is in no result line
+    assert wall.startswith("wall_s (s, lower is better): parent 2.5 [1.25, 3.75]  change 1.75 [1.125, 2.375]")
+    assert wall.endswith("change won 3/4")
+    assert rate.startswith("dof_steps_per_s (1/s, higher is better): parent 1.35 [1.05, 1.875]")
+    assert rate.endswith("change won 3/4")
+
+
+@pytest.mark.parametrize("bad", [None, _result(1.0, 1.0, failed=1), {**_result(1.0, 1.0), "correct": False}],
+                         ids=["no-result", "failed", "incorrect"])
+def test_bench_pairs_flags_bad_runs(bad):
+    lines, ok = bench_pairs.summarize([(_result(2.0, 1.0), _result(1.0, 2.0)), (bad, _result(1.0, 2.0))],
+                                      _END_TO_END)
+    assert not ok and lines[0] == "2 pairs; every run correct: False"
