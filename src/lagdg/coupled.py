@@ -179,13 +179,6 @@ def run_simulation(rhs: Callable, y0: np.ndarray, t0: float, dt: float, n_steps:
     return y
 
 
-def dg_energy(mesh: Mesh1D, blocks: np.ndarray, grav: float, H: float) -> float:
-    """(1/2) integral of (g h^2 + H u^2) over the finite domain, from the
-    DG blocks of CoupledModel.split (element-major: h columns, then u columns)."""
-    h, u = np.split(blocks, 2, axis=1)
-    return 0.5 * mesh.dz * float(grav * np.sum(h ** 2) + H * np.sum(u ** 2))
-
-
 def semi_energy(coeffs: np.ndarray, beta: float, grav: float, H: float) -> float:
     """(1/2) integral of (g h^2 + H u^2) over the semi-infinite domain, from
     the (d, M+1) modal coefficients of CoupledModel.split."""

@@ -120,13 +120,8 @@ def characteristic_ghost(closure, q_interior: np.ndarray, values: np.ndarray | N
 
 
 # The DG part of a flat state is stored element-major: row m of the
-# (n, d(p+1)) array holds element m's (d, p+1) coefficients.  These
-# helpers and DGOperator are the only code that knows that layout.
-
-
-def _to_blocks(coeffs: np.ndarray) -> np.ndarray:
-    """(n, d, p+1) coefficients -> element-major (n, d(p+1)) array."""
-    return coeffs.reshape(coeffs.shape[0], -1)
+# (n, d(p+1)) array holds element m's (d, p+1) coefficients.  This
+# helper and DGOperator are the only code that knows that layout.
 
 
 def _from_blocks(blocks: np.ndarray, d: int) -> np.ndarray:
@@ -151,9 +146,9 @@ class DGOperator:
     and -kron(A-, e_r) / dz add a boundary state's upwind flux to the
     first and last element.  Each map is stored as its C-contiguous
     transpose and acts from the right on the element rows of the
-    element-major array of shape blocks_shape; project, centers and
-    right_trace convert between that layout and the flat state, the
-    profiles and the cell-centre output.
+    element-major array of shape blocks_shape; project, centers,
+    right_trace and energy convert between that layout and the flat
+    state, the profiles, the cell-centre output and the energy.
     """
 
     def __init__(self, sys: HyperbolicSystem, mesh: Mesh1D, p: int, left_bc=None, left_mask=None):
@@ -209,6 +204,13 @@ class DGOperator:
     def right_trace(self, blocks: np.ndarray) -> np.ndarray:
         """Interior state (d,) at z = L of element-major coefficients."""
         return blocks[-1] @ self.trace_right
+
+    def energy(self, y: np.ndarray, weights) -> float:
+        """(1/2) sum over components c of weights[c] * integral of q_c^2 over
+        the domain, from flat or blocked coefficients; weights (g, H) give
+        the shallow-water energy (1/2) integral of (g h^2 + H u^2)."""
+        squares = np.sum(_from_blocks(y.reshape(self.blocks_shape), self.sys.d) ** 2, axis=(0, 2))
+        return 0.5 * self.mesh.dz * float(np.dot(weights, squares))
 
 
 def project_dg(component_funcs, mesh: Mesh1D, p: int) -> np.ndarray:

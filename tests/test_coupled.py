@@ -9,7 +9,6 @@ from lagdg.coupled import (
     CoupledModel,
     SigmoidDamping,
     SWEConfig,
-    dg_energy,
     rk3_step,
     run_simulation,
     semi_energy,
@@ -19,7 +18,6 @@ from lagdg.coupled import (
 from lagdg.dg import (
     DGOperator,
     Mesh1D,
-    _to_blocks,
     edge_values,
     eval_at_centers,
     project_dg,
@@ -169,11 +167,11 @@ class TestCoupledRhs:
         rng = np.random.default_rng(12)
         dg = rng.normal(size=(10, 2, 2)) * 0.01
         semi = rng.normal(size=(2, 10)) * 0.01
-        dg_dot = DGOperator(sys, mesh, 1).rhs(_to_blocks(dg), 0.0, semi.sum(axis=1))
+        dg_dot = DGOperator(sys, mesh, 1).rhs(dg.reshape(10, -1), 0.0, semi.sum(axis=1))
         semi_dot = LaguerreModalOperator(sys, spec).rhs(semi, 0.0, dg[-1] @ edge_values(1)[1])
 
         model = CoupledModel(cfg, mesh, 1, spec)
-        y = np.concatenate([_to_blocks(dg).ravel(), semi.ravel()])
+        y = np.concatenate([dg.ravel(), semi.ravel()])
         dot = model.rhs(0.0, y)
         assert dot == pytest.approx(np.concatenate([dg_dot.ravel(), semi_dot.ravel()]), abs=1e-13)
 
@@ -186,7 +184,7 @@ class TestCoupledRhs:
 
         def obs(step, t, yy):
             dg, semi = model.split(yy)
-            energies.append(dg_energy(mesh, dg, cfg.grav, cfg.H)
+            energies.append(model.dg_op.energy(dg, (cfg.grav, cfg.H))
                             + semi_energy(semi, spec.beta, cfg.grav, cfg.H))
 
         dt = 0.25 * mesh.dz / model.max_speed()
@@ -253,8 +251,13 @@ class TestLayout:
         mesh = Mesh1D(100.0, 7)
         op = DGOperator(swe_system(SWEConfig()) if d == 2 else _advection_system(1.0), mesh, p)
         y = op.project(funcs)
-        assert y.shape == (7 * d * (p + 1),)
+        # row m of the blocks is element m's flattened (d, p+1) coefficients
+        assert op.blocks_shape == (7, d * (p + 1))
+        assert np.array_equal(y, project_dg(funcs, mesh, p).ravel())
         assert np.array_equal(op.centers(y), eval_at_centers(project_dg(funcs, mesh, p)))
+        # the maps act from the right as C-contiguous arrays; transposed views are slower
+        for name in ("diag", "lower", "upper", "trace_left", "trace_right", "lift_left", "lift_right"):
+            assert getattr(op, name).flags.c_contiguous, name
 
     @pytest.mark.parametrize("p", [0, 1, 3])
     def test_coupled_split_views_the_flat_state(self, p):
@@ -276,7 +279,7 @@ class TestLayout:
 
 
 class TestEnergies:
-    """dg_energy and semi_energy against closed forms, with h != u so that
+    """DGOperator.energy and semi_energy against closed forms, with h != u so that
     a mix-up of the h and u parts of a split state fails directly."""
 
     cfg = SWEConfig(H=2.0, grav=9.81)
@@ -289,7 +292,7 @@ class TestEnergies:
         y = model.initial_state(lambda x: 0.3 + 0.02 * x, lambda x: -0.1 + 0.05 * x)
         square = lambda a, b: a * a * L + a * b * L ** 2 + b * b * L ** 3 / 3.0
         expect = 0.5 * (self.cfg.grav * square(0.3, 0.02) + self.cfg.H * square(-0.1, 0.05))
-        got = dg_energy(model.mesh, model.split(y)[0], self.cfg.grav, self.cfg.H)
+        got = model.dg_op.energy(model.split(y)[0], (self.cfg.grav, self.cfg.H))
         assert got == pytest.approx(expect, rel=1e-13, abs=0.0)
 
     def test_semi_energy_of_the_first_basis_functions(self):

@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 import lagdg
-from lagdg.basis import BasisSpec
-from lagdg.coupled import CoupledModel, SigmoidDamping, SWEConfig, swe_system
+from lagdg.coupled import SigmoidDamping, SWEConfig, swe_system
 from lagdg.dg import (
     DGOperator,
     Mesh1D,
     _from_blocks,
-    _to_blocks,
     characteristic_closure,
     characteristic_ghost,
     edge_values,
@@ -65,7 +63,7 @@ class TestRhs:
         rng = np.random.default_rng(1)
         q = rng.normal(size=(10, 1, 1))
         op = DGOperator(sys, mesh, 0, lambda t: np.array([0.3]), np.array([True]))
-        rhs = _from_blocks(op.rhs(_to_blocks(q), 0.0, None), 1)
+        rhs = _from_blocks(op.rhs(q.reshape(op.blocks_shape), 0.0, None), 1)
         vals = q[:, 0, 0]
         expect = np.empty(10)
         expect[0] = -(vals[0] - 0.3) / mesh.dz
@@ -95,8 +93,8 @@ class TestRhs:
         mesh = Mesh1D(5.0, 9)
         op = DGOperator(sys, mesh, 1, lambda t: np.zeros(2), np.array([False, False]))
         rng = np.random.default_rng(3)
-        a = _to_blocks(rng.normal(size=(9, 2, 2)))
-        b = _to_blocks(rng.normal(size=(9, 2, 2)))
+        a = rng.normal(size=op.blocks_shape)
+        b = rng.normal(size=op.blocks_shape)
         lhs = op.rhs(3.0 * a + b, 0.0, None)
         rhs = 3.0 * op.rhs(a, 0.0, None) + op.rhs(b, 0.0, None)
         assert lhs == pytest.approx(rhs, abs=1e-12)
@@ -116,17 +114,17 @@ class TestRhs:
 class TestTraceAndGhost:
     def test_trace_p0(self):
         op = DGOperator(_advection_system(1.0), Mesh1D(2.0, 2), 0)
-        assert op.right_trace(_to_blocks(np.array([[[2.0]], [[5.0]]]))) == pytest.approx([5.0])
+        assert op.right_trace(np.array([[2.0], [5.0]])) == pytest.approx([5.0])
 
     def test_trace_p1(self):
         op = DGOperator(_advection_system(1.0), Mesh1D(1.0, 1), 1)
-        assert op.right_trace(_to_blocks(np.array([[[1.0, 0.5]]]))) == pytest.approx([1.0 + np.sqrt(3) * 0.5])
+        assert op.right_trace(np.array([[1.0, 0.5]])) == pytest.approx([1.0 + np.sqrt(3) * 0.5])
 
     def test_trace_matches_eval(self):
         rng = np.random.default_rng(4)
         coeffs = rng.normal(size=(6, 2, 3))
         mesh = Mesh1D(3.0, 6)
-        tr = DGOperator(swe_system(SWEConfig()), mesh, 2).right_trace(_to_blocks(coeffs))
+        tr = DGOperator(swe_system(SWEConfig()), mesh, 2).right_trace(coeffs.reshape(6, -1))
         assert tr == pytest.approx(coeffs[-1] @ edge_values(2)[1], abs=1e-14)
         ev = eval_at(coeffs, mesh, 3.0 - 1e-12)[:, 0]
         assert tr == pytest.approx(ev, abs=1e-9)
@@ -221,23 +219,3 @@ def test_only_dg_knows_the_block_layout():
     offenders = [f"{path.name}: {name}" for path in sorted(src.glob("*.py")) if path.name != "dg.py"
                  for name in ("_to_blocks", "_from_blocks") if name in path.read_text()]
     assert offenders == []
-
-
-@pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("p", [0, 1, 3])
-def test_element_major_layout_contract(p, d):
-    # row m of the blocks is element m's flattened (d, p+1) coefficients,
-    # and every stored map is a C-contiguous right-multiplication matrix
-    # (a transposed view makes the products measurably slower)
-    mesh = Mesh1D(10.0, 7)
-    sys = _advection_system(0.8) if d == 1 else swe_system(SWEConfig(U=0.3))
-    op = DGOperator(sys, mesh, p)
-    funcs = [np.sin, np.cos][:d]
-    assert op.blocks_shape == (7, d * (p + 1))
-    assert np.array_equal(op.project(funcs), project_dg(funcs, mesh, p).ravel())
-    for name in ("diag", "lower", "upper", "trace_left", "trace_right", "lift_left", "lift_right"):
-        assert getattr(op, name).flags.c_contiguous, name
-    if d == 2:
-        model = CoupledModel(SWEConfig(U=0.3), mesh, p, BasisSpec("functions", 0.5, 6))
-        y = model.initial_state(np.sin, np.cos)
-        assert np.shares_memory(model.split(y)[0], y)

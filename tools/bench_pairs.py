@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
 """Compare two lagdg checkouts on one benchmark workload in alternating pairs.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --workload W --pairs N --seconds S --seed0 K
+    python3 tools/bench_pairs.py PARENT CHANGE --workload W [--pairs N]
 
-Pair i runs ``python3 perfbench/run.py --workload W --seed K+i --seconds S
---trace 0`` once in each checkout; even pairs run PARENT first, odd pairs
+Pair i (i = 1..N, default 10) runs ``python3 perfbench/run.py --workload W
+--seed i --seconds S --trace 0`` once in each checkout, S being
+BENCHMARK.json's run_seconds; odd pairs run PARENT first, even pairs
 CHANGE first, so a drift of the host's speed does not favour one side.
-For every end-to-end metric that BENCHMARK.json (read from CHANGE) lists,
-it prints the median [q1, q3] of each side and the pairs that CHANGE won,
-judged by the metric's "better".  It reads BENCHMARK.json and perfbench/
-and writes nothing of its own; perfbench/run.py keeps its run records
-under each checkout's .perfbench_out/.
+For every end-to-end metric that BENCHMARK.json lists, it prints the
+median [q1, q3] of each side and the pairs that CHANGE won, judged by the
+metric's "better".  It reads BENCHMARK.json and perfbench/ of its own
+checkout and writes nothing of its own; perfbench/run.py keeps its run
+records under each checkout's .perfbench_out/.
 
 Exit status 1 when any run fails, is not "correct" or reports failed > 0;
 2 for bad arguments; 0 otherwise.
@@ -20,18 +21,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import subprocess
 import sys
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+sys.path.insert(0, str(ROOT / "perfbench"))
 
-def quartiles(values: list[float]) -> tuple[float, float, float]:
-    """(q1, median, q3) as perfbench/run.py computes them; one value is its own quartiles."""
-    if len(values) < 2:
-        return values[0], values[0], values[0]
-    q1, _, q3 = statistics.quantiles(values, n=4)
-    return q1, statistics.median(values), q3
+from run import quartiles  # noqa: E402
 
 
 def summarize(pairs: list[tuple[dict | None, dict | None]], end_to_end: list[dict]) -> tuple[list[str], bool]:
@@ -55,11 +53,11 @@ def summarize(pairs: list[tuple[dict | None, dict | None]], end_to_end: list[dic
     return lines, ok
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict | None:
+def run_once(checkout: Path, workload: str, seed: int) -> dict | None:
     """perfbench/run.py's result line of one untraced run, or None if it gave none."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(BENCHMARK["run_seconds"]), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0 or not proc.stdout.strip():
         print(f"{checkout}: seed {seed} exited {proc.returncode}\n{proc.stderr}", file=sys.stderr)
@@ -72,28 +70,22 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, required=True)
-    parser.add_argument("--seed0", type=int, required=True)
+    parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    end_to_end = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
 
     pairs = []
-    for i in range(args.pairs):
-        seed = args.seed0 + i
+    for seed in range(1, args.pairs + 1):
         result = [None, None]
-        for side in ((0, 1) if i % 2 == 0 else (1, 0)):
-            result[side] = run_once((args.parent, args.change)[side], args.workload, seed, args.seconds)
+        for side in ((0, 1) if seed % 2 else (1, 0)):
+            result[side] = run_once((args.parent, args.change)[side], args.workload, seed)
         pairs.append(tuple(result))
-        print(f"pair {i + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr, flush=True)
-    lines, ok = summarize(pairs, end_to_end)
-    print(f"workload {args.workload}, seeds {args.seed0}..{args.seed0 + args.pairs - 1}, "
-          f"{args.seconds:g} s per run")
+        print(f"pair {seed}/{args.pairs} done", file=sys.stderr, flush=True)
+    lines, ok = summarize(pairs, BENCHMARK["end_to_end"])
+    print(f"workload {args.workload}, seeds 1..{args.pairs}, {BENCHMARK['run_seconds']} s per run")
     print("\n".join(lines))
     return 0 if ok else 1
-
 
 if __name__ == "__main__":
     sys.exit(main())
