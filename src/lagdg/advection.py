@@ -20,6 +20,7 @@ import numpy as np
 
 from .basis import LAGUERRE_FUNCTIONS, LAGUERRE_POLYNOMIALS
 from .quadrature import (
+    _MAX_M,
     NODES_GL,
     NODES_GLR,
     QuadratureRule,
@@ -84,14 +85,6 @@ class SemiDiscreteOperator:
         return self.A.shape[0]
 
 
-def apply(op: SemiDiscreteOperator, q: np.ndarray, t: float = 0.0) -> np.ndarray:
-    """Evaluate A q + g (t accepted for time-stepper signatures)."""
-    q = np.asarray(q, dtype=float)
-    if q.shape != (op.n,):
-        raise ValueError(f"state has shape {q.shape}, expected ({op.n},)")
-    return op.A @ q + op.g
-
-
 def _modal_operator(variant: SchemeVariant, beta: float, M: int, u: float) -> SemiDiscreteOperator:
     n = M + 1
     ones = np.ones(n)
@@ -119,7 +112,7 @@ def _modal_operator(variant: SchemeVariant, beta: float, M: int, u: float) -> Se
 
 def _strong_operator(variant: SchemeVariant, beta: float, M: int, u: float) -> SemiDiscreteOperator:
     rule = build_rule(NODES_GLR, variant.basis_kind, beta, M)
-    D = build_diff_matrix(rule).entries
+    D = build_diff_matrix(rule)
     if variant.direction == INFLOW:
         A = -u * D[1:, 1:]
         g = -u * variant.q_left * D[1:, 0]
@@ -171,7 +164,7 @@ def _glr_poly_block_spectrum(beta: float, M: int) -> np.ndarray:
 
 def _nodal_operator(variant: SchemeVariant, beta: float, M: int, u: float) -> SemiDiscreteOperator:
     rule = build_rule(variant.node_kind, variant.basis_kind, beta, M)
-    D = build_diff_matrix(rule).entries
+    D = build_diff_matrix(rule)
     w = _nodal_weights(rule)
     poly = variant.basis_kind == LAGUERRE_POLYNOMIALS
     n = M + 1
@@ -233,6 +226,8 @@ def assemble(variant: SchemeVariant, beta: float, M: int, u: float) -> SemiDiscr
         raise ValueError("beta must be positive")
     if M < 0:
         raise ValueError("M must be non-negative")
+    if M > _MAX_M:
+        raise ValueError(f"M={M} exceeds the supported maximum {_MAX_M}")
 
     if variant.form == FORM_MODAL:
         return _modal_operator(variant, beta, M, u)

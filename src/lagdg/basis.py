@@ -73,58 +73,6 @@ def laguerre_fun_table(n: int, x) -> np.ndarray:
     return out
 
 
-def _check_index(spec: BasisSpec, j: int) -> None:
-    if not 0 <= j <= spec.M:
-        raise IndexError(f"basis index {j} outside 0..{spec.M}")
-
-
-def _check_halfline(z) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    if np.any(z < 0):
-        raise ValueError("z must be non-negative")
-    return z
-
-
-def laguerre_poly_eval(spec: BasisSpec, j: int, z):
-    """Scaled Laguerre polynomial L_j(beta*z)."""
-    _check_index(spec, j)
-    z = _check_halfline(z)
-    val = laguerre_poly_table(j, spec.beta * z)[j]
-    return float(val) if val.ndim == 0 else val
-
-
-def laguerre_fun_eval(spec: BasisSpec, j: int, z):
-    """Scaled Laguerre function exp(-beta*z/2) L_j(beta*z); equals 1 at z=0."""
-    _check_index(spec, j)
-    z = _check_halfline(z)
-    val = laguerre_fun_table(j, spec.beta * z)[j]
-    return float(val) if val.ndim == 0 else val
-
-
-def laguerre_fun_derivative_expansion(spec: BasisSpec, i: int) -> np.ndarray:
-    """Coefficients c_k with d/dz Lhat_i = sum_k c_k Lhat_k, k = 0..i.
-
-    c_i = -beta/2 and c_k = -beta for k < i.
-    """
-    _check_index(spec, i)
-    c = np.full(i + 1, -spec.beta)
-    c[i] = -0.5 * spec.beta
-    return c
-
-
-def laguerre_poly_derivative_expansion(spec: BasisSpec, i: int) -> np.ndarray:
-    """Coefficients c_k with d/dz L_i(beta z) = sum_{k<i} c_k L_k(beta z).
-
-    The polynomial family loses one index: the expansion has length i,
-    all entries -beta; for i = 0 the derivative is identically zero and a
-    single zero coefficient is returned.
-    """
-    _check_index(spec, i)
-    if i == 0:
-        return np.zeros(1)
-    return np.full(i, -spec.beta)
-
-
 def legendre_eval(l: int, xi):
     """Legendre polynomial P_l on [-1, 1] by the three-term recurrence."""
     if l < 0:
@@ -138,18 +86,3 @@ def legendre_eval(l: int, xi):
         p, p_prev = ((2 * k + 1) * xi * p - k * p_prev) / (k + 1), p
     return float(p) if p.ndim == 0 else p
 
-
-def legendre_dg_basis_eval(m_center: float, dz: float, l: int, z):
-    """Element basis value sqrt(2l+1) P_l(2 (z - z_m) / dz).
-
-    Normalized so the basis is orthogonal with element mass dz; z must lie
-    inside the element (a relative tolerance absorbs end-point rounding).
-    """
-    if dz <= 0:
-        raise ValueError("element size must be positive")
-    z = np.asarray(z, dtype=float)
-    xi = 2.0 * (z - m_center) / dz
-    if np.any(np.abs(xi) > 1.0 + 1e-12):
-        raise ValueError("evaluation point outside element")
-    val = np.sqrt(2 * l + 1) * legendre_eval(l, np.clip(xi, -1.0, 1.0))
-    return float(val) if np.ndim(val) == 0 else val

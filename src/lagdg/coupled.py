@@ -119,12 +119,11 @@ class CoupledModel:
         self.mesh = mesh
         self.p = p
         self.spec = spec
-        self.sys_dg = swe_system(replace(cfg, damping=None))
         self.sys_semi = swe_system(cfg)
-        self.dg_op = DGOperator(self.sys_dg, mesh, p, left_bc, left_mask)
+        self.dg_op = DGOperator(swe_system(replace(cfg, damping=None)), mesh, p, left_bc, left_mask)
         self.semi_op = LaguerreModalOperator(self.sys_semi, spec, rule)
-        self._n_dg = mesh.n_elements * 2 * (p + 1)
-        self._semi_shape = (2, spec.M + 1)
+        self._n_dg = int(np.prod(self.dg_op.blocks_shape))
+        self._semi_shape = (self.sys_semi.d, spec.M + 1)
 
     def split(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Views of a flat state: (DG blocks of dg_op.blocks_shape, (d, M+1) modal coefficients)."""

@@ -227,15 +227,3 @@ def eval_at_centers(coeffs: np.ndarray) -> np.ndarray:
     """Cell-center point values of (n_elements, d, p+1) coefficients, shape (n_elements, d)."""
     return coeffs @ center_values(coeffs.shape[-1] - 1)
 
-
-def eval_at(coeffs: np.ndarray, mesh: Mesh1D, x) -> np.ndarray:
-    """Pointwise evaluation of (n_elements, d, p+1) coefficients at
-    physical coordinates, shape (d, len(x))."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x < -1e-12) or np.any(x > mesh.length + 1e-12):
-        raise ValueError("evaluation point outside the mesh")
-    idx = np.clip((x / mesh.dz).astype(int), 0, mesh.n_elements - 1)
-    xi = 2.0 * (x - mesh.centers[idx]) / mesh.dz
-    xi = np.clip(xi, -1.0, 1.0)
-    phi = np.array([np.sqrt(2 * l + 1) * legendre_eval(l, xi) for l in range(coeffs.shape[-1])])
-    return np.einsum("mkj,jm->km", coeffs[idx], phi)

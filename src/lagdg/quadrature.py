@@ -59,14 +59,6 @@ class QuadratureRule:
         return self.M + 1
 
 
-@dataclass(frozen=True, eq=False)
-class DiffMatrix:
-    """Dense matrix with entry (i, j) = d/dz of cardinal j at node i."""
-
-    entries: np.ndarray
-    rule: QuadratureRule
-
-
 def _golub_welsch(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and unit-mass weights of the Jacobi matrix (diag, off) (Golub-Welsch).
 
@@ -190,8 +182,9 @@ def _log_barycentric(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return logw, sign
 
 
-def build_diff_matrix(rule: QuadratureRule) -> DiffMatrix:
-    """Differentiation matrix of the cardinal basis attached to the rule.
+def build_diff_matrix(rule: QuadratureRule) -> np.ndarray:
+    """Differentiation matrix of the cardinal basis attached to the rule:
+    entry (i, j) is d/dz of cardinal j at node i.
 
     For the polynomial family the diagonal is the negated row sum, which
     makes constants differentiate to exactly zero; the function family
@@ -199,7 +192,6 @@ def build_diff_matrix(rule: QuadratureRule) -> DiffMatrix:
     -beta/2 on the diagonal.
     """
     z = rule.nodes
-    n = rule.n
     diff = z[:, None] - z[None, :]
     np.fill_diagonal(diff, 1.0)
     logw, sign = _log_barycentric(z)
@@ -221,7 +213,7 @@ def build_diff_matrix(rule: QuadratureRule) -> DiffMatrix:
         inv = 1.0 / diff
         np.fill_diagonal(inv, 0.0)
         np.fill_diagonal(d, inv.sum(axis=1) - 0.5 * rule.beta)
-    return DiffMatrix(d, rule)
+    return d
 
 
 def lagrange_cardinal_eval(rule: QuadratureRule, j: int, z: float) -> float:

@@ -331,7 +331,7 @@ def _wavetrain_row(cfg: dict, amplitude: float, outdir: Path) -> dict:
     n = mesh.n_elements
     yT, num = _solve(model, model.initial_state(_zero, _zero), dt, n_steps, n)
     # the reference starts at rest: no need to project zero onto its long mesh
-    yr0 = np.zeros(ref.mesh.n_elements * 2 * (int(cfg["p"]) + 1))
+    yr0 = np.zeros(ref.op.blocks_shape).ravel()
     _, refv = _solve(ref, yr0, dt, n_steps, n)
 
     eh = error_norms(num[:, 0], refv[:, 0], relative=True)

@@ -114,7 +114,6 @@ class LaguerreModalOperator:
                  rule: QuadratureRule | None = None):
         if spec.kind != LAGUERRE_FUNCTIONS:
             raise ValueError("modal operator requires the Laguerre function basis")
-        self.sys = sys
         self.spec = spec
         self.rule = _matching_rule(spec, rule)
         beta, M = spec.beta, spec.M

@@ -33,10 +33,10 @@ import pytest
 from scipy.linalg import lu_factor
 
 from lagdg.advection import SchemeVariant, assemble
-from lagdg.basis import BasisSpec, laguerre_fun_derivative_expansion, laguerre_fun_eval
+from lagdg.basis import BasisSpec, laguerre_fun_table
 from lagdg.coupled import SWEConfig, rk3_step, swe_system
 from lagdg.quadrature import build_rule
-from lagdg.scenarios import dg_advection_error, run_scenario
+from lagdg.scenarios import _advection_system, dg_advection_error, run_scenario
 from lagdg.semiinf import LaguerreModalOperator
 from lagdg.spectrum import classify, eigenvalues
 
@@ -292,13 +292,14 @@ def test_criterion_9_oracle_equivalences():
     assert abs(np.prod(lam8).real - det) <= 1e-9 * abs(det)
     assert abs(np.sum(lam8).real - np.trace(a)) <= 1e-10 * max(1.0, abs(np.trace(a)))
 
-    # (c) derivative expansions vs central finite differences
+    # (c) derivative expansions vs central finite differences: row 5 of the
+    # modal operator of q_t + q_z = 0 expands d/dz Lhat_5
     spec = BasisSpec("functions", 1.0, 6)
+    c = LaguerreModalOperator(_advection_system(1.0), spec).K[5]
     h = 1e-6
     for z in rng.uniform(0.1, 8.0, size=6):
-        c = laguerre_fun_derivative_expansion(spec, 5)
-        recon = sum(c[k] * laguerre_fun_eval(spec, k, z) for k in range(6))
-        fd = (laguerre_fun_eval(spec, 5, z + h) - laguerre_fun_eval(spec, 5, z - h)) / (2 * h)
+        recon = c @ laguerre_fun_table(6, z)
+        fd = (laguerre_fun_table(6, z + h)[5] - laguerre_fun_table(6, z - h)[5]) / (2 * h)
         assert abs(recon - fd) <= 1e-6 * max(1.0, abs(fd))
     elapsed = time.time() - t0
     _report("9 (oracle equivalences)", True, f"modal/characteristic, LU, FD oracles in {elapsed:.1f}s")

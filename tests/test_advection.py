@@ -6,11 +6,12 @@ from lagdg.advection import (
     OUTFLOW,
     SchemeVariant,
     SemiDiscreteOperator,
-    apply,
     assemble,
 )
-from lagdg.basis import BasisSpec, laguerre_fun_derivative_expansion, laguerre_fun_eval
-from lagdg.quadrature import build_rule
+from lagdg.basis import BasisSpec, laguerre_fun_table
+from lagdg.quadrature import _MAX_M, build_diff_matrix, build_rule
+from lagdg.scenarios import _advection_system
+from lagdg.semiinf import LaguerreModalOperator
 from lagdg.spectrum import eigenvalues
 
 
@@ -60,13 +61,10 @@ class TestStrongCollocation:
     def test_outflow_matrix_is_differentiation(self):
         beta, M = 1.0, 5
         op = assemble(SchemeVariant("strong", "functions", direction=OUTFLOW), beta, M, -1.0)
-        spec = BasisSpec("functions", beta, M)
-        rule = build_rule("glr", "functions", beta, M)
-        v = np.array([laguerre_fun_eval(spec, 2, z) for z in rule.nodes])
-        c = laguerre_fun_derivative_expansion(spec, 2)
-        expect = sum(c[k] * np.array([laguerre_fun_eval(spec, k, z) for z in rule.nodes])
-                     for k in range(3))
-        assert op.A @ v == pytest.approx(expect, abs=1e-8)
+        # row 2 of the modal operator of q_t + q_z = 0 expands d/dz Lhat_2
+        c = LaguerreModalOperator(_advection_system(1.0), BasisSpec("functions", beta, M)).K[2]
+        table = laguerre_fun_table(M, beta * build_rule("glr", "functions", beta, M).nodes)
+        assert op.A @ table[2] == pytest.approx(c @ table, abs=1e-8)
         assert np.all(op.g == 0)
 
     def test_inflow_drops_boundary_dof(self):
@@ -90,9 +88,7 @@ class TestWeakNodal:
         # u Om^-1 D_M Om has the same spectrum as u D_M
         beta, M, u = 1.0, 9, 1.0
         op = assemble(SchemeVariant("nodal", "functions", "glr", INFLOW, q_left=0.0), beta, M, u)
-        from lagdg.quadrature import build_diff_matrix
-
-        D = build_diff_matrix(build_rule("glr", "functions", beta, M)).entries
+        D = build_diff_matrix(build_rule("glr", "functions", beta, M))
         rho = np.max(np.abs(eigenvalues(u * D[1:, 1:])))
         assert spectra_distance(op.A, u * D[1:, 1:]) < 1e-8 * max(1.0, rho)
 
@@ -133,9 +129,11 @@ class TestWeakNodal:
 
 
 class TestApplyAndValidation:
+    # dq/dt of an assembled pair is op.A @ q + op.g
     def test_zero_operator(self):
         op = SemiDiscreteOperator(np.zeros((3, 3)), np.zeros(3))
-        assert apply(op, np.array([1.0, -2.0, 3.0])) == pytest.approx(np.zeros(3))
+        assert op.A @ np.array([1.0, -2.0, 3.0]) + op.g == pytest.approx(np.zeros(3))
+        assert (op.n, op.dof_offset, op.exact_eigenvalues) == (3, 0, None)
 
     def test_modal_single_mode_active(self):
         beta, u, M = 1.0, 1.0, 4
@@ -144,21 +142,20 @@ class TestApplyAndValidation:
         e0[0] = 1.0
         expect = np.full(M + 1, -beta * u)
         expect[0] = -0.5 * beta * u
-        assert apply(op, e0) == pytest.approx(expect)
+        assert op.A @ e0 + op.g == pytest.approx(expect)
 
     def test_matches_dense_product_oracle(self):
-        rng = np.random.default_rng(17)
-        A = rng.normal(size=(6, 6))
-        g = rng.normal(size=6)
-        q = rng.normal(size=6)
-        op = SemiDiscreteOperator(A, g)
-        expect = np.array([np.dot(A[i], q) + g[i] for i in range(6)])
-        assert apply(op, q) == pytest.approx(expect, abs=1e-13)
+        # modal function inflow: dq_i/dt = beta u (q_left - sum_{k<i} q_k - q_i / 2)
+        beta, u, q_left = 0.7, 1.3, 0.4
+        q = np.random.default_rng(17).normal(size=6)
+        op = assemble(SchemeVariant("modal", "functions", direction=INFLOW, q_left=q_left), beta, 5, u)
+        expect = np.array([beta * u * (q_left - q[:i].sum() - 0.5 * q[i]) for i in range(6)])
+        assert op.A @ q + op.g == pytest.approx(expect, abs=1e-13)
 
-    def test_dimension_mismatch(self):
-        op = SemiDiscreteOperator(np.zeros((3, 3)), np.zeros(3))
-        with pytest.raises(ValueError):
-            apply(op, np.zeros(4))
+    @pytest.mark.parametrize("form", ["strong", "nodal", "modal"])
+    def test_order_above_supported_maximum_rejected(self, form):
+        with pytest.raises(ValueError, match="exceeds the supported maximum"):
+            assemble(SchemeVariant(form, "functions", direction=OUTFLOW), 1.0, _MAX_M + 1, -1.0)
 
     def test_direction_sign_mismatch(self):
         with pytest.raises(ValueError):

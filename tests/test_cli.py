@@ -66,6 +66,15 @@ class TestCliCommands:
         summary = json.loads(capsys.readouterr().out)
         assert summary["stable"] is True
 
+    def test_order_above_supported_maximum_exits_2(self, tmp_path, capsys):
+        # the modal form builds no rule, yet rejects M = 201 like the others
+        # before it builds an (M+1)^2 matrix
+        rc = main(["spectrum", "--form", "modal", "--basis", "functions", "--direction", "outflow",
+                   "--beta", "1", "--M", "201", "--output", str(tmp_path)])
+        assert rc == 2
+        assert "M=201 exceeds the supported maximum 200" in capsys.readouterr().err
+        assert not (tmp_path / "eigenvalues.csv").exists()
+
     def test_operator_writes_matrix_and_forcing(self, tmp_path):
         rc = main(["operator", "--form", "modal", "--basis", "functions",
                    "--direction", "inflow", "--beta", "1.0", "--M", "3",

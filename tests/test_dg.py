@@ -1,3 +1,5 @@
+import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +13,8 @@ from lagdg.dg import (
     _from_blocks,
     characteristic_closure,
     characteristic_ghost,
+    center_values,
     edge_values,
-    eval_at,
     eval_at_centers,
     project_dg,
 )
@@ -29,20 +31,26 @@ class TestProjection:
         assert np.max(np.abs(coeffs[:, 0, 1:])) < 1e-14
 
     def test_linear_exact(self):
+        # exact at the cell centres and at both ends of every element
         mesh = Mesh1D(1.0, 4)
         coeffs = project_dg([lambda z: 2.0 * z - 0.3], mesh, 1)
-        xs = np.linspace(0.01, 0.99, 23)
-        vals = eval_at(coeffs, mesh, xs)[0]
-        assert vals == pytest.approx(2.0 * xs - 0.3, abs=1e-13)
+        left, right = edge_values(1)
+        edges = np.arange(5) * mesh.dz
+        assert eval_at_centers(coeffs)[:, 0] == pytest.approx(2.0 * mesh.centers - 0.3, abs=1e-13)
+        assert coeffs[:, 0] @ left == pytest.approx(2.0 * edges[:-1] - 0.3, abs=1e-13)
+        assert coeffs[:, 0] @ right == pytest.approx(2.0 * edges[1:] - 0.3, abs=1e-13)
 
     def test_gaussian_projection_error_scales(self):
         f = lambda z: np.exp(-(((z - 0.5) / 0.1) ** 2))
         errs = []
         for nx in (8, 16, 32):
             mesh = Mesh1D(1.0, nx)
-            coeffs = project_dg([f], mesh, 1)
-            xs = np.linspace(0, 1, 301)
-            errs.append(np.max(np.abs(eval_at(coeffs, mesh, xs)[0] - f(xs))))
+            coeffs = project_dg([f], mesh, 1)[:, 0]
+            left, right = edge_values(1)
+            z0 = mesh.centers - 0.5 * mesh.dz
+            errs.append(max(np.max(np.abs(coeffs @ center_values(1) - f(mesh.centers))),
+                            np.max(np.abs(coeffs @ left - f(z0))),
+                            np.max(np.abs(coeffs @ right - f(z0 + mesh.dz)))))
         assert errs[2] < errs[1] < errs[0]
         assert errs[1] / errs[2] > 2.0
 
@@ -126,7 +134,8 @@ class TestTraceAndGhost:
         mesh = Mesh1D(3.0, 6)
         tr = DGOperator(swe_system(SWEConfig()), mesh, 2).right_trace(coeffs.reshape(6, -1))
         assert tr == pytest.approx(coeffs[-1] @ edge_values(2)[1], abs=1e-14)
-        ev = eval_at(coeffs, mesh, 3.0 - 1e-12)[:, 0]
+        # numpy's Legendre series of the last element at its right end
+        ev = np.polynomial.legendre.legval(1.0, (coeffs[-1] * np.sqrt(2 * np.arange(3) + 1)).T)
         assert tr == pytest.approx(ev, abs=1e-9)
 
     def test_ghost_imposes_velocity(self):
@@ -219,3 +228,65 @@ def test_only_dg_knows_the_block_layout():
     offenders = [f"{path.name}: {name}" for path in sorted(src.glob("*.py")) if path.name != "dg.py"
                  for name in ("_to_blocks", "_from_blocks") if name in path.read_text()]
     assert offenders == []
+
+
+# Public names that no shipped module reads, each with the reason it stays.
+_UNREFERENCED_OK = {
+    "__version__": "package metadata, read by users and packaging tools rather than by the code",
+    "semi_energy": "the semi-infinite half of the discrete energy W that the energy diagnostics build on",
+}
+_WORD = re.compile(r"[A-Za-z_]\w*")
+
+
+def _parse_without_docstrings(path) -> ast.Module:
+    tree = ast.parse(path.read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and ast.get_docstring(node) is not None:
+            node.body = node.body[1:]
+    return tree
+
+
+def _referenced_names(node) -> set:
+    """Identifiers read anywhere in node: names, attributes, imported names
+    and the words of string constants (perfbench looks functions up by
+    their dotted names)."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name.rsplit(".", 1)[-1])
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names.update(_WORD.findall(sub.value))
+    return names
+
+
+def _defined_names(stmt) -> list:
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
+
+
+def test_every_public_name_is_used_by_shipped_code():
+    # a public module-level name of lagdg must be read somewhere in src/,
+    # perfbench/, tools/ or configs/ outside its own definition; code that
+    # only tests call is deleted, and the tests check the shipping code
+    root = Path(__file__).resolve().parents[1]
+    uses = []  # (file, top-level statement or None, names read there)
+    for top in ("src", "perfbench", "tools", "configs"):
+        for path in sorted((root / top).rglob("*")):
+            if path.suffix == ".py":
+                uses += [(path, stmt, _referenced_names(stmt)) for stmt in _parse_without_docstrings(path).body]
+            elif path.suffix in (".cfg", ".sh"):
+                uses.append((path, None, set(_WORD.findall(path.read_text()))))
+    unused = [f"{path.stem}.{name}" for path, stmt, _ in uses if path.parent == root / "src" / "lagdg"
+              for name in _defined_names(stmt)
+              if not (name.startswith("_") and not name.endswith("__")) and name not in _UNREFERENCED_OK
+              and not any(name in names for _, other, names in uses if other is not stmt)]
+    assert unused == []

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from lagdg import quadrature
-from lagdg.basis import (
-    BasisSpec,
-    laguerre_fun_derivative_expansion,
-    laguerre_fun_eval,
-    laguerre_poly_table,
-)
+from lagdg.basis import BasisSpec, laguerre_fun_table, laguerre_poly_table
 from lagdg.cli import main
 from lagdg.quadrature import (
     build_diff_matrix,
@@ -17,6 +12,8 @@ from lagdg.quadrature import (
     cardinal_values_at_origin,
     lagrange_cardinal_eval,
 )
+from lagdg.scenarios import _advection_system
+from lagdg.semiinf import LaguerreModalOperator
 
 
 def barycentric_cardinal(nodes, j, z):
@@ -218,12 +215,12 @@ class TestDiffMatrix:
     def test_poly_rows_annihilate_constants(self):
         for node_kind in ("gl", "glr"):
             rule = build_rule(node_kind, "polynomials", 1.0, 12)
-            D = build_diff_matrix(rule).entries
+            D = build_diff_matrix(rule)
             assert np.max(np.abs(D @ np.ones(13))) < 1e-9
 
     def test_poly_differentiates_polynomials(self):
         rule = build_rule("glr", "polynomials", 2.0, 9)
-        D = build_diff_matrix(rule).entries
+        D = build_diff_matrix(rule)
         rng = np.random.default_rng(9)
         coef = rng.normal(size=10)
         p = np.polynomial.Polynomial(coef)
@@ -234,23 +231,22 @@ class TestDiffMatrix:
         beta, M = 1.0, 5
         spec = BasisSpec("functions", beta, M)
         rule = build_rule("glr", "functions", beta, M)
-        D = build_diff_matrix(rule).entries
-        v = np.array([laguerre_fun_eval(spec, 2, z) for z in rule.nodes])
-        c = laguerre_fun_derivative_expansion(spec, 2)
-        expect = sum(c[k] * np.array([laguerre_fun_eval(spec, k, z) for z in rule.nodes])
-                     for k in range(3))
-        assert D @ v == pytest.approx(expect, abs=1e-8)
+        D = build_diff_matrix(rule)
+        # row 2 of the modal operator of q_t + q_z = 0 expands d/dz Lhat_2
+        c = LaguerreModalOperator(_advection_system(1.0), spec, rule).K[2]
+        table = laguerre_fun_table(M, beta * rule.nodes)
+        assert D @ table[2] == pytest.approx(c @ table, abs=1e-8)
 
     def test_beta_scaling(self):
-        d1 = build_diff_matrix(build_rule("glr", "functions", 1.0, 6)).entries
-        d2 = build_diff_matrix(build_rule("glr", "functions", 2.0, 6)).entries
+        d1 = build_diff_matrix(build_rule("glr", "functions", 1.0, 6))
+        d2 = build_diff_matrix(build_rule("glr", "functions", 2.0, 6))
         assert d2 == pytest.approx(2.0 * d1, rel=1e-10)
 
     def test_function_matrix_differentiates_envelope_polynomials(self):
         # exact derivative of p(z) exp(-beta z / 2) for p of degree <= M
         beta, M = 0.8, 6
         rule = build_rule("gl", "functions", beta, M)
-        D = build_diff_matrix(rule).entries
+        D = build_diff_matrix(rule)
         rng = np.random.default_rng(13)
         coef = rng.normal(size=M + 1)
         p = np.polynomial.Polynomial(coef)
