@@ -6,59 +6,33 @@ scheme, and the modal trace at its origin becomes the exterior state of
 the DG upwind flux.  Time integration is the explicit three-stage
 third-order Runge-Kutta scheme.
 
-The linearized shallow water system with sigmoid Rayleigh damping in the
-semi-infinite part is provided as the stock wave model.
+The linearized shallow water system is provided as the stock wave model;
+its sigmoid Rayleigh damping acts in the semi-infinite part only (see
+semiinf.SigmoidDamping).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .basis import LAGUERRE_FUNCTIONS, BasisSpec
+from .basis import BasisSpec
 from .dg import DGOperator, Mesh1D
-from .quadrature import QuadratureRule
-from .semiinf import HyperbolicSystem, LaguerreModalOperator, project as project_semi
+from .semiinf import HyperbolicSystem, LaguerreModalOperator, SigmoidDamping, project as project_semi
 
 CFL_WARN = 0.4  # advisory bound: run_simulation warns above it
 
 
 @dataclass(frozen=True)
-class SigmoidDamping:
-    """Rayleigh damping profile dgamma / (1 + exp((alpha L0 - x) / sigma))."""
-
-    dgamma: float
-    L0: float
-    alpha: float = 0.25
-    sigma: float | None = None  # defaults to L0 / 20
-
-    def __post_init__(self):
-        if self.dgamma < 0:
-            raise ValueError("damping amplitude must be non-negative")
-        if self.sigma is None:
-            object.__setattr__(self, "sigma", self.L0 / 20.0)
-        if not self.sigma > 0:
-            raise ValueError("sigmoid steepness must be positive")
-
-
-def sigmoid_gamma(damping: SigmoidDamping, x) -> np.ndarray | float:
-    """Damping coefficient at x; saturates instead of overflowing."""
-    arg = np.clip((damping.alpha * damping.L0 - np.asarray(x, dtype=float)) / damping.sigma, -700.0, 700.0)
-    val = damping.dgamma / (1.0 + np.exp(arg))
-    return float(val) if np.ndim(val) == 0 else val
-
-
-@dataclass(frozen=True)
 class SWEConfig:
-    """Linearized shallow water parameters; damping applies where installed."""
+    """Linearized shallow water parameters."""
 
     H: float = 1.0
     U: float = 0.0
     grav: float = 9.81
-    damping: SigmoidDamping | None = None
 
     def __post_init__(self):
         if self.H <= 0 or self.grav <= 0:
@@ -70,6 +44,10 @@ class SWEConfig:
     def wave_speed(self) -> float:
         return float(np.sqrt(self.grav * self.H))
 
+    @property
+    def max_speed(self) -> float:
+        return abs(self.U) + self.wave_speed
+
 
 def swe_system(cfg: SWEConfig) -> HyperbolicSystem:
     """d=2 system for (h, u): speeds U +- sqrt(g H), closed-form eigenvectors."""
@@ -79,9 +57,7 @@ def swe_system(cfg: SWEConfig) -> HyperbolicSystem:
     V = np.array([[H, H], [c, -c]])
     Vinv = np.array([[c, H], [c, -H]]) / (2.0 * H * c)
     lam = np.array([U + c, U - c])
-    damping = cfg.damping
-    b = None if damping is None else (lambda z: -sigmoid_gamma(damping, z) * np.eye(2))
-    return HyperbolicSystem(a, (V, lam, Vinv), b)
+    return HyperbolicSystem(a, (V, lam, Vinv))
 
 
 def rk3_step(rhs: Callable, y: np.ndarray, t: float, dt: float) -> np.ndarray:
@@ -104,26 +80,23 @@ class CoupledModel:
     coefficients.  split gives views of the two parts.
 
     left_bc and left_mask go to the DG operator, which owns the left
-    boundary (see DGOperator); without them it is transmissive.  Damping
-    belongs to the semi-infinite system only; the finite domain always
-    runs undamped.  rule, when given, is the GLR rule of spec; the modal
-    operator and the initial projection share it.
+    boundary (see DGOperator); without them it is transmissive.  damping
+    goes to the modal operator: the finite domain always runs undamped.
+    The initial projection shares the modal operator's rule.
     """
 
     def __init__(self, cfg: SWEConfig, mesh: Mesh1D, p: int, spec: BasisSpec,
                  left_bc: Callable | None = None, left_mask=None,
-                 rule: QuadratureRule | None = None):
-        if spec.kind != LAGUERRE_FUNCTIONS:
-            raise ValueError("coupling requires the Laguerre function basis outside")
+                 damping: SigmoidDamping | None = None):
         self.cfg = cfg
         self.mesh = mesh
         self.p = p
         self.spec = spec
-        self.sys_semi = swe_system(cfg)
-        self.dg_op = DGOperator(swe_system(replace(cfg, damping=None)), mesh, p, left_bc, left_mask)
-        self.semi_op = LaguerreModalOperator(self.sys_semi, spec, rule)
+        system = swe_system(cfg)
+        self.dg_op = DGOperator(system, mesh, p, left_bc, left_mask)
+        self.semi_op = LaguerreModalOperator(system, spec, damping)
         self._n_dg = int(np.prod(self.dg_op.blocks_shape))
-        self._semi_shape = (self.sys_semi.d, spec.M + 1)
+        self._semi_shape = (system.d, spec.M + 1)
 
     def split(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Views of a flat state: (DG blocks of dg_op.blocks_shape, (d, M+1) modal coefficients)."""
@@ -147,9 +120,6 @@ class CoupledModel:
     def centers_view(self, y: np.ndarray) -> np.ndarray:
         """Cell-centre values of the DG part, shape (n_elements, d)."""
         return self.dg_op.centers(self.split(y)[0])
-
-    def max_speed(self) -> float:
-        return abs(self.cfg.U) + self.cfg.wave_speed
 
 
 def run_simulation(rhs: Callable, y0: np.ndarray, t0: float, dt: float, n_steps: int,

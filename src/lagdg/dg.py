@@ -152,8 +152,6 @@ class DGOperator:
     """
 
     def __init__(self, sys: HyperbolicSystem, mesh: Mesh1D, p: int, left_bc=None, left_mask=None):
-        if sys.b is not None:
-            raise ValueError("the DG operator runs undamped: damping belongs to the semi-infinite part")
         if (left_bc is None) != (left_mask is None):
             raise ValueError("left_bc and left_mask must be given together")
         self.sys = sys

@@ -17,17 +17,11 @@ import numpy as np
 
 from .advection import SchemeVariant, assemble
 from .basis import BasisSpec
-from .coupled import (
-    CoupledModel,
-    SigmoidDamping,
-    SWEConfig,
-    run_simulation,
-    swe_system,
-)
+from .coupled import CoupledModel, SWEConfig, run_simulation, swe_system
 from .dg import DGOperator, Mesh1D
 from .diagnostics import energy_error, error_norms, reflection_ratio
 from .quadrature import build_rule
-from .semiinf import HyperbolicSystem, default_rule, reconstruct
+from .semiinf import HyperbolicSystem, SigmoidDamping, reconstruct
 from .spectrum import classify
 
 FLOAT_FORMAT = "%.8e"
@@ -128,9 +122,6 @@ class DGOnlyModel:
     def centers_view(self, y: np.ndarray) -> np.ndarray:
         return self.op.centers(y)
 
-    def max_speed(self) -> float:
-        return abs(self.cfg.U) + self.cfg.wave_speed
-
 
 # --------------------------------------------------------------------------
 # spectrum / rule / operator scenarios
@@ -209,18 +200,20 @@ def _zero(x):
     return np.zeros_like(np.asarray(x, dtype=float))
 
 
-def _swe(cfg: dict, damping: SigmoidDamping | None = None) -> SWEConfig:
-    return SWEConfig(H=cfg["H"], U=cfg["U"], grav=cfg["grav"], damping=damping)
+def _swe(cfg: dict) -> SWEConfig:
+    return SWEConfig(H=cfg["H"], U=cfg["U"], grav=cfg["grav"])
 
 
-def _damped_layer(cfg: dict, spec: BasisSpec):
-    """(rule, damped SWEConfig): the GLR rule of spec, and a sigmoid layer
-    placed relative to the rule's last node."""
-    rule = default_rule(spec)
-    layer = rule.nodes[-1]
-    damping = SigmoidDamping(dgamma=cfg["dgamma"], L0=layer, alpha=cfg["alpha"],
-                             sigma=cfg["sigma_over_l0"] * layer)
-    return rule, _swe(cfg, damping)
+def _damping(cfg: dict) -> SigmoidDamping:
+    return SigmoidDamping(cfg["dgamma"], cfg["alpha"], cfg["sigma_over_l0"])
+
+
+def _steps(T: float, dt_max: float) -> tuple[float, int]:
+    """(dt, n_steps): the fewest equal steps of at most dt_max that reach T."""
+    if not (T > 0 and dt_max > 0):
+        raise ConfigError(f"a run needs positive T and cfl; got T={T} and a step of {dt_max}")
+    n_steps = int(np.ceil(T / dt_max))
+    return T / n_steps, n_steps
 
 
 def _reference(cfg: dict, mesh: Mesh1D, n_elements: int, **kw) -> DGOnlyModel:
@@ -231,7 +224,7 @@ def _reference(cfg: dict, mesh: Mesh1D, n_elements: int, **kw) -> DGOnlyModel:
 def _solve(model, y0: np.ndarray, dt: float, n_steps: int, n_cells: int):
     """(yT, values at the first n_cells cell centres) after n_steps from t = 0."""
     yT = run_simulation(model.rhs, y0, 0.0, dt, n_steps,
-                        max_speed=model.max_speed(), min_dz=model.mesh.dz)
+                        max_speed=model.cfg.max_speed, min_dz=model.mesh.dz)
     return yT, model.centers_view(yT)[:n_cells]
 
 
@@ -290,6 +283,8 @@ def run_coupling_validation(cfg: dict, outdir: Path) -> dict:
     unknown = [d for d in cfg["directions"] if d not in ("ingoing", "outgoing")]
     if unknown:
         raise ConfigError(f"directions {unknown} are not 'ingoing' or 'outgoing'")
+    if "outgoing" in cfg["directions"] and int(cfg["nt_outgoing"]) < 1:
+        raise ConfigError(f"nt_outgoing must be at least 1, got {cfg['nt_outgoing']}")
     tasks = [(d, h1, s) for d in cfg["directions"] for h1 in cfg["h1_list"] for s in cfg["sigma_list"]]
     rows = _map_rows(lambda t: _validation_row(cfg, *t, outdir), tasks)
     return _write_results(outdir, cfg, ["x0", "h1", "sigma", "e1_h", "e1_u", "e2_h", "e2_u",
@@ -308,10 +303,10 @@ WAVETRAIN_DEFAULTS = {
 
 
 def _wavetrain_row(cfg: dict, amplitude: float, outdir: Path) -> dict:
-    c = float(np.sqrt(cfg["grav"] * cfg["H"]))
+    swe = _swe(cfg)
+    c = swe.wave_speed
     mesh = Mesh1D(cfg["L"], int(cfg["nx"]))
     spec = BasisSpec("functions", float(cfg["beta"]), int(cfg["semi_nodes"]) - 1)
-    rule, swe = _damped_layer(cfg, spec)
 
     wavelength = cfg["L"] / float(cfg["wavenumber"])
     period = wavelength / c
@@ -320,11 +315,10 @@ def _wavetrain_row(cfg: dict, amplitude: float, outdir: Path) -> dict:
     def left_bc(t):
         return np.array([0.0, amplitude * np.sin(2 * np.pi * t / period)])
 
-    dt = cfg["cfl"] * mesh.dz / c
-    n_steps = int(np.ceil(cfg["T"] / dt))
-    dt = cfg["T"] / n_steps
+    dt, n_steps = _steps(cfg["T"], cfg["cfl"] * mesh.dz / c)
 
-    model = CoupledModel(swe, mesh, int(cfg["p"]), spec, left_bc=left_bc, left_mask=mask, rule=rule)
+    model = CoupledModel(swe, mesh, int(cfg["p"]), spec, left_bc=left_bc, left_mask=mask,
+                         damping=_damping(cfg))
     ref_len = cfg["L"] + c * cfg["T"] + cfg["ref_margin"]
     ref = _reference(cfg, mesh, int(np.ceil(ref_len / mesh.dz)), left_bc=left_bc, left_mask=mask)
 
@@ -367,15 +361,14 @@ ABSORPTION_DEFAULTS = {
 
 def _absorption_row(cfg: dict, row, outdir: Path) -> dict:
     semi_nodes, nx, steps, beta = int(row[0]), int(row[1]), int(row[2]), float(row[3])
-    c = float(np.sqrt(cfg["grav"] * cfg["H"]))
-    T = cfg["D"] / (2.0 * c)
+    swe = _swe(cfg)
+    T = cfg["D"] / (2.0 * swe.wave_speed)
     dt = T / steps
     mesh = Mesh1D(cfg["D"], nx)
     spec = BasisSpec("functions", beta, semi_nodes - 1)
-    rule, swe = _damped_layer(cfg, spec)
 
-    model = CoupledModel(swe, mesh, int(cfg["p"]), spec, rule=rule)
-    wall = DGOnlyModel(_swe(cfg), mesh, int(cfg["p"]), reflect_right=True)
+    model = CoupledModel(swe, mesh, int(cfg["p"]), spec, damping=_damping(cfg))
+    wall = DGOnlyModel(swe, mesh, int(cfg["p"]), reflect_right=True)
     ref = _reference(cfg, mesh, int(round(cfg["ref_length"] / mesh.dz)))
 
     h_fun = _gaussian(cfg["h1"], cfg["x0"], cfg["sigma"])
@@ -397,9 +390,9 @@ def _absorption_row(cfg: dict, row, outdir: Path) -> dict:
 
 
 def run_gaussian_absorption(cfg: dict, outdir: Path) -> dict:
-    bad = [r for r in cfg["rows"] if len(r) != 4 or any(_kind(x) != "number" for x in r)]
+    bad = [r for r in cfg["rows"] if len(r) != 4 or any(_kind(x) != "number" for x in r) or int(r[2]) < 1]
     if bad:
-        raise ConfigError(f"rows {bad} are not [semi_nodes, nx, steps, beta]")
+        raise ConfigError(f"rows {bad} are not [semi_nodes, nx, steps >= 1, beta]")
     rows = _map_rows(lambda r: _absorption_row(cfg, r, outdir), list(cfg["rows"]))
     return _write_results(outdir, cfg, ["semi_nodes", "nx", "steps", "beta", "resid_h", "resid_u",
                                         "e_en", "rho"], rows)
@@ -424,9 +417,7 @@ def dg_advection_error(u: float, p: int, nx: int, T: float, cfl: float) -> float
     def rhs(t, y):
         return op.rhs(y.reshape(op.blocks_shape), t, None).ravel()
 
-    dt = cfl * mesh.dz / abs(u)
-    n_steps = int(np.ceil(T / dt))
-    dt = T / n_steps
+    dt, n_steps = _steps(T, cfl * mesh.dz / abs(u))
     yT = run_simulation(rhs, op.project([lambda x: exact(x, 0.0)]), 0.0, dt, n_steps)
     num = op.centers(yT)[:, 0]
     ref = exact(mesh.centers, T)

@@ -1,18 +1,18 @@
 """Weak modal scaled-Laguerre-function discretization of hyperbolic systems.
 
-A d-component system q_t + A q_z = B(z) q on [0, inf) (local coordinate)
-is expanded per component in scaled Laguerre functions; the coefficients
-are a plain (d, M+1) array.  Incoming characteristics are forced through
-A+ by Dirichlet data g(t); outgoing ones feed back through A- acting on
-the boundary trace sum_j q_j.  The constant A gives triangular mode
-coupling; the reaction B(z) enters through GLR quadrature of its
-integrals.
+A d-component system q_t + A q_z = -gamma(z) q on [0, inf) (local
+coordinate) is expanded per component in scaled Laguerre functions; the
+coefficients are a plain (d, M+1) array.  Incoming characteristics are
+forced through A+ by Dirichlet data g(t); outgoing ones feed back through
+A- acting on the boundary trace sum_j q_j.  The constant A gives
+triangular mode coupling; the Rayleigh damping gamma(z), a sigmoid layer
+placed relative to the last quadrature node, enters through GLR
+quadrature of its integrals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -22,16 +22,14 @@ from .quadrature import NODES_GLR, QuadratureRule, build_rule
 
 @dataclass(frozen=True, eq=False)
 class HyperbolicSystem:
-    """Coefficients and eigenstructure of q_t + A q_z = B(z) q.
+    """Coefficients and eigenstructure of q_t + A q_z = 0.
 
     a is the constant (d, d) matrix A and eig its eigenstructure
-    (V, lam, Vinv), with lam the real eigenvalue vector.  b is None for
-    B = 0, else a callable z -> (d, d) matrix.
+    (V, lam, Vinv), with lam the real eigenvalue vector.
     """
 
     a: np.ndarray
     eig: tuple
-    b: Callable | None = None
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
@@ -42,6 +40,30 @@ class HyperbolicSystem:
     @property
     def d(self) -> int:
         return self.a.shape[0]
+
+
+@dataclass(frozen=True)
+class SigmoidDamping:
+    """Rayleigh damping profile dgamma / (1 + exp((alpha L0 - z) / sigma)),
+    sigma = sigma_over_l0 L0, over a layer of length L0."""
+
+    dgamma: float
+    alpha: float
+    sigma_over_l0: float
+
+    def __post_init__(self):
+        if self.dgamma < 0:
+            raise ValueError("damping amplitude must be non-negative")
+        if not self.sigma_over_l0 > 0:
+            raise ValueError("sigmoid steepness must be positive")
+
+
+def sigmoid_gamma(damping: SigmoidDamping, L0: float, z) -> np.ndarray:
+    """Damping coefficient at z over a layer of length L0; saturates instead
+    of overflowing."""
+    sigma = damping.sigma_over_l0 * L0
+    arg = np.clip((damping.alpha * L0 - np.asarray(z, dtype=float)) / sigma, -700.0, 700.0)
+    return damping.dgamma / (1.0 + np.exp(arg))
 
 
 def flux_split(a: np.ndarray, eig_triple) -> tuple[np.ndarray, np.ndarray]:
@@ -62,7 +84,7 @@ def default_rule(spec: BasisSpec) -> QuadratureRule:
 
 def _matching_rule(spec: BasisSpec, rule: QuadratureRule | None) -> QuadratureRule:
     """rule, or default_rule(spec) when None; any other rule than spec's GLR
-    function-basis rule would build a wrong reaction matrix or projection."""
+    function-basis rule would build a wrong projection."""
     if rule is None:
         return default_rule(spec)
     if (rule.node_kind, rule.basis_kind, rule.beta, rule.M) != (NODES_GLR, LAGUERRE_FUNCTIONS, spec.beta, spec.M):
@@ -105,29 +127,29 @@ class LaguerreModalOperator:
 
     Builds the interior operator once as one (d(M+1), d(M+1)) matrix K over
     the flattened coefficients: -beta a (x) T, plus the GLR-quadrature
-    projection of the reaction term when B is set.  Boundary data g(t)
-    enters through A+ at the local origin; the outgoing trace feeds back
-    through A-.
+    projection of the Rayleigh reaction -gamma(z) q when damping is set.
+    The damping layer's length L0 is the last node of rule, the GLR rule
+    of spec.  Boundary data g(t) enters through A+ at the local origin;
+    the outgoing trace feeds back through A-.
     """
 
-    def __init__(self, sys: HyperbolicSystem, spec: BasisSpec,
-                 rule: QuadratureRule | None = None):
+    def __init__(self, sys: HyperbolicSystem, spec: BasisSpec, damping: SigmoidDamping | None = None):
         if spec.kind != LAGUERRE_FUNCTIONS:
             raise ValueError("modal operator requires the Laguerre function basis")
         self.spec = spec
-        self.rule = _matching_rule(spec, rule)
+        self.rule = default_rule(spec)
         beta, M = spec.beta, spec.M
         self.a_plus, self.a_minus = flux_split(sys.a, sys.eig)
 
         T = np.tril(np.ones((M + 1, M + 1)), -1)  # advective mode coupling: strictly
         np.fill_diagonal(T, 0.5)                  # lower ones, 1/2 on the diagonal
         K = np.kron(-beta * sys.a, T)
-        if sys.b is not None:
-            # sum_n w_n B(z_n)[k, l] Lhat_i(z_n) Lhat_j(z_n), laid out like K
+        if damping is not None:
+            # sum_n w_n (-gamma(z_n)) Lhat_i(z_n) Lhat_j(z_n), the same on every component
+            nodes = self.rule.nodes
+            wg = -sigmoid_gamma(damping, nodes[-1], nodes) * self.rule.weights
             phi = basis_values_at_nodes(spec, self.rule)
-            bvals = np.array([np.asarray(sys.b(zz), dtype=float) for zz in self.rule.nodes])
-            w = self.rule.weights
-            K += beta * np.einsum("nkl,in,jn->kilj", bvals * w[:, None, None], phi, phi).reshape(K.shape)
+            K += np.kron(np.eye(sys.d), beta * np.einsum("n,in,jn->ij", wg, phi, phi))
         self.K = K
 
     def rhs(self, coeffs: np.ndarray, t: float, boundary_g: np.ndarray) -> np.ndarray:

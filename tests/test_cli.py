@@ -134,6 +134,21 @@ class TestCliCommands:
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "o" / "results.csv").exists()
 
+    @pytest.mark.parametrize("config, overrides", [
+        ("wavetrain_15nodes", ["cfl=0"]),
+        ("wavetrain_15nodes", ["T=0"]),
+        ("absorption_main", ["rows=[[10, 100, 0, 0.0035714285714285713]]"]),
+        ("convergence_dg", ["cfl=0"]),
+        ("coupling_validation", ["nt_outgoing=0", 'directions=["outgoing"]']),
+    ], ids=["wavetrain-cfl", "wavetrain-T", "absorption-steps", "convergence-cfl", "validation-nt"])
+    def test_zero_length_runs_are_config_errors(self, tmp_path, capsys, config, overrides):
+        # no step count can be derived: rejected before the division, not with a traceback
+        args = ["run", "--config", str(CONFIG_DIR / f"{config}.cfg"), "--output", str(tmp_path / "o")]
+        for item in overrides:
+            args += ["--override", item]
+        assert main(args) == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path):
         rc = main(["run", "--config", str(tmp_path / "missing.cfg"),
                    "--output", str(tmp_path / "o")])

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,12 +8,10 @@ import lagdg.dg
 from lagdg.basis import BasisSpec
 from lagdg.coupled import (
     CoupledModel,
-    SigmoidDamping,
     SWEConfig,
     rk3_step,
     run_simulation,
     semi_energy,
-    sigmoid_gamma,
     swe_system,
 )
 from lagdg.dg import (
@@ -23,7 +22,7 @@ from lagdg.dg import (
     project_dg,
 )
 from lagdg.scenarios import DGOnlyModel, _advection_system
-from lagdg.semiinf import LaguerreModalOperator, project as project_semi
+from lagdg.semiinf import LaguerreModalOperator, SigmoidDamping, project as project_semi, sigmoid_gamma
 
 
 class TestSWESystem:
@@ -34,8 +33,14 @@ class TestSWESystem:
         assert np.sort(lam) == pytest.approx([-c, c])
 
     def test_no_damping_means_no_reaction(self):
+        # damping is an argument of the modal operator only: neither the
+        # parameters nor the system carry it, and a zero amplitude adds nothing
+        assert [f.name for f in fields(SWEConfig)] == ["H", "U", "grav"]
         sys = swe_system(SWEConfig())
-        assert sys.b is None
+        assert [f.name for f in fields(sys)] == ["a", "eig"]
+        spec = BasisSpec("functions", 0.05, 8)
+        undamped = LaguerreModalOperator(sys, spec).K
+        assert np.array_equal(LaguerreModalOperator(sys, spec, SigmoidDamping(0.0, 0.1, 0.05)).K, undamped)
 
     def test_eigendecomposition_reconstructs(self):
         cfg = SWEConfig(H=2.3, U=0.8, grav=9.81)
@@ -52,23 +57,29 @@ class TestSWESystem:
 
 class TestSigmoid:
     def test_midpoint(self):
-        d = SigmoidDamping(dgamma=0.2, L0=1000.0, alpha=0.5, sigma=50.0)
-        assert sigmoid_gamma(d, 500.0) == pytest.approx(0.1)
+        d = SigmoidDamping(dgamma=0.2, alpha=0.5, sigma_over_l0=0.05)
+        assert sigmoid_gamma(d, 1000.0, 500.0) == pytest.approx(0.1)
 
     def test_saturation(self):
-        d = SigmoidDamping(dgamma=0.2, L0=1000.0, alpha=0.5, sigma=50.0)
-        assert sigmoid_gamma(d, 1e9) == pytest.approx(0.2)
-        assert sigmoid_gamma(d, -1e9) == pytest.approx(0.0, abs=1e-300)
+        d = SigmoidDamping(dgamma=0.2, alpha=0.5, sigma_over_l0=0.05)
+        assert sigmoid_gamma(d, 1000.0, 1e9) == pytest.approx(0.2)
+        assert sigmoid_gamma(d, 1000.0, -1e9) == pytest.approx(0.0, abs=1e-300)
 
     def test_point_value(self):
-        d = SigmoidDamping(dgamma=0.1, L0=1e4, alpha=0.5, sigma=500.0)
-        assert sigmoid_gamma(d, 6000.0) == pytest.approx(0.1 / (1 + np.exp(-2.0)))
+        # sigma = 0.05 * 1e4 = 500
+        d = SigmoidDamping(dgamma=0.1, alpha=0.5, sigma_over_l0=0.05)
+        assert sigmoid_gamma(d, 1e4, 6000.0) == pytest.approx(0.1 / (1 + np.exp(-2.0)))
 
     def test_monotone(self):
-        d = SigmoidDamping(dgamma=0.3, L0=2000.0)
+        d = SigmoidDamping(dgamma=0.3, alpha=0.25, sigma_over_l0=0.05)
         xs = np.linspace(-1000, 5000, 50)
-        vals = sigmoid_gamma(d, xs)
+        vals = sigmoid_gamma(d, 2000.0, xs)
         assert np.all(np.diff(vals) >= 0)
+
+    @pytest.mark.parametrize("args", [(-0.1, 0.1, 0.05), (0.1, 0.1, 0.0)], ids=["amplitude", "steepness"])
+    def test_invalid_profile_rejected(self, args):
+        with pytest.raises(ValueError):
+            SigmoidDamping(*args)
 
 
 class TestRK3:
@@ -104,10 +115,10 @@ class TestRK3:
 
 
 def small_model(damping=None, left_bc=None, left_mask=None):
-    cfg = SWEConfig(damping=damping)
+    cfg = SWEConfig()
     mesh = Mesh1D(100.0, 25)
     spec = BasisSpec("functions", 0.05, 14)
-    return CoupledModel(cfg, mesh, 1, spec, left_bc=left_bc, left_mask=left_mask), cfg, mesh, spec
+    return CoupledModel(cfg, mesh, 1, spec, left_bc, left_mask, damping), cfg, mesh, spec
 
 
 class TestCoupledRhs:
@@ -187,19 +198,20 @@ class TestCoupledRhs:
             energies.append(model.dg_op.energy(dg, (cfg.grav, cfg.H))
                             + semi_energy(semi, spec.beta, cfg.grav, cfg.H))
 
-        dt = 0.25 * mesh.dz / model.max_speed()
+        dt = 0.25 * mesh.dz / cfg.max_speed
         run_simulation(model.rhs, y, 0.0, dt, 150, observers=[obs],
-                       max_speed=model.max_speed(), min_dz=mesh.dz)
+                       max_speed=cfg.max_speed, min_dz=mesh.dz)
         e = np.array(energies)
         assert np.all(e[1:] <= e[:-1] * (1.0 + 1e-8))
 
     def test_damping_reduces_energy_faster(self):
-        damping = SigmoidDamping(dgamma=0.5, L0=200.0, alpha=0.05, sigma=10.0)
+        # the last GLR node is L0 = 923.5, so the layer is centred at z = 9.2 with sigma = 9.2
+        damping = SigmoidDamping(dgamma=0.5, alpha=0.01, sigma_over_l0=0.01)
         model_d, cfg, mesh, spec = small_model(damping=damping)
         model_0, *_ = small_model()
         h = lambda x: 0.1 * np.exp(-(((x - 80.0) / 6.0) ** 2))
         z = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-        dt = 0.25 * mesh.dz / model_d.max_speed()
+        dt = 0.25 * mesh.dz / cfg.max_speed
         yd = run_simulation(model_d.rhs, model_d.initial_state(h, z), 0.0, dt, 400)
         y0 = run_simulation(model_0.rhs, model_0.initial_state(h, z), 0.0, dt, 400)
         total_d = semi_energy(model_d.split(yd)[1], spec.beta, cfg.grav, cfg.H)
@@ -321,13 +333,13 @@ class TestCallContract:
     def _model(kind):
         mesh = Mesh1D(2000.0, 20)
         spec = BasisSpec("functions", 0.01, 9)
-        damped = SWEConfig(damping=SigmoidDamping(dgamma=0.1, L0=500.0))
+        damping = SigmoidDamping(dgamma=0.1, alpha=0.25, sigma_over_l0=0.05)
         forcing = dict(left_bc=lambda t: np.array([0.0, 0.01 * np.sin(0.1 * t)]),
                        left_mask=np.array([False, True]))
         if kind == "coupled":
-            return CoupledModel(damped, mesh, 1, spec)
+            return CoupledModel(SWEConfig(), mesh, 1, spec, damping=damping)
         if kind == "masked-coupled":
-            return CoupledModel(damped, mesh, 1, spec, **forcing)
+            return CoupledModel(SWEConfig(), mesh, 1, spec, **forcing, damping=damping)
         if kind == "wall":
             return DGOnlyModel(SWEConfig(), mesh, 1, reflect_right=True)
         return DGOnlyModel(SWEConfig(), Mesh1D(4000.0, 40), 1)

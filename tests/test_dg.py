@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import lagdg
-from lagdg.coupled import SigmoidDamping, SWEConfig, swe_system
+from lagdg.coupled import SWEConfig, swe_system
 from lagdg.dg import (
     DGOperator,
     Mesh1D,
@@ -106,12 +106,6 @@ class TestRhs:
         lhs = op.rhs(3.0 * a + b, 0.0, None)
         rhs = 3.0 * op.rhs(a, 0.0, None) + op.rhs(b, 0.0, None)
         assert lhs == pytest.approx(rhs, abs=1e-12)
-
-    def test_damped_system_is_rejected(self):
-        # damping belongs to the semi-infinite part; the DG operator has no reaction term
-        damped = swe_system(SWEConfig(damping=SigmoidDamping(dgamma=0.1, L0=100.0)))
-        with pytest.raises(ValueError, match="undamped"):
-            DGOperator(damped, Mesh1D(30.0, 7), 1)
 
     def test_convergence_order_two(self):
         errs = [dg_advection_error(1.0, 1, nx, 0.5, 0.1) for nx in (50, 100, 200)]

@@ -4,18 +4,16 @@ The reference right-hand sides below evaluate each term of the weak forms
 directly (upwind interface fluxes, volume integrals, prefix sums of the
 triangular mode coupling, quadrature of the reaction integrals), the way
 the operators did before they were assembled as matrices.  They are slow
-and share no prepared data with the operators.  The DG operator runs
-undamped, so its reference is checked on the undamped form of every
-case; the damped case keeps its background flow U = -0.5 there.
+and share no prepared data with the operators.  Damping acts in the modal
+operator only, so the DG reference checks each case's undamped system;
+the damped case keeps its background flow U = -0.5 there.
 """
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from lagdg.basis import BasisSpec
-from lagdg.coupled import CoupledModel, SigmoidDamping, SWEConfig, swe_system
+from lagdg.coupled import CoupledModel, SWEConfig, swe_system
 from lagdg.dg import (
     DGOperator,
     Mesh1D,
@@ -26,9 +24,11 @@ from lagdg.dg import (
 )
 from lagdg.semiinf import (
     LaguerreModalOperator,
+    SigmoidDamping,
     basis_values_at_nodes,
     default_rule,
     flux_split,
+    sigmoid_gamma,
 )
 
 RTOL = 1e-13
@@ -72,27 +72,30 @@ def _quadrature_projection(fn, spec, rule):
     return np.einsum("nkl,in,jn->klij", vals * rule.weights[:, None, None], phi, phi)
 
 
-def reference_modal_rhs(sys, spec, coeffs, boundary_g):
+def reference_modal_rhs(sys, spec, coeffs, boundary_g, damping=None):
     beta = spec.beta
     a_plus, a_minus = flux_split(sys.a, sys.eig)
     bc = a_plus @ boundary_g + a_minus @ coeffs.sum(axis=1)
     prefix = np.cumsum(coeffs, axis=1) - coeffs
     out = beta * (bc[:, None] - sys.a @ (0.5 * coeffs + prefix))
-    if sys.b is not None:
-        b_proj = _quadrature_projection(sys.b, spec, default_rule(spec))
+    if damping is not None:
+        # reaction -gamma(z) I, with the layer length L0 the rule's last node
+        rule = default_rule(spec)
+        L0 = rule.nodes[-1]
+        b_proj = _quadrature_projection(lambda z: -sigmoid_gamma(damping, L0, z) * np.eye(sys.d), spec, rule)
         out += beta * np.einsum("klij,lj->ki", b_proj, coeffs)
     return out
 
 
-def reference_coupled_rhs(model, t, y, left_bc, mask):
+def reference_coupled_rhs(model, t, y, left_bc, mask, damping):
     n_dg, n = model._n_dg, model.mesh.n_elements
     # the flat DG part is element-major: (n, d(p+1))
     dg = y[:n_dg].reshape(n, 2, model.p + 1)
     semi = y[n_dg:].reshape(2, model.spec.M + 1)
     values = left_bc(t) if left_bc is not None else None
-    dg_dot = reference_dg_rhs(replace(model.sys_semi, b=None), model.mesh, model.p, dg,
-                              values, mask, semi.sum(axis=1))
-    semi_dot = reference_modal_rhs(model.sys_semi, model.spec, semi, dg[-1] @ edge_values(model.p)[1])
+    sys = swe_system(model.cfg)
+    dg_dot = reference_dg_rhs(sys, model.mesh, model.p, dg, values, mask, semi.sum(axis=1))
+    semi_dot = reference_modal_rhs(sys, model.spec, semi, dg[-1] @ edge_values(model.p)[1], damping)
     return np.concatenate([dg_dot.ravel(), semi_dot.ravel()])
 
 
@@ -102,11 +105,11 @@ def assert_close(got, expect):
     assert np.max(np.abs(got - expect)) <= RTOL * scale
 
 
-DAMPING = SigmoidDamping(dgamma=0.3, L0=60.0, alpha=0.3, sigma=5.0)
+# (parameters, damping of the modal part) of each case
 SWE_CASES = {
-    "still": SWEConfig(),
-    "flow": SWEConfig(H=2.0, U=0.8),
-    "damped": SWEConfig(U=-0.5, damping=DAMPING),
+    "still": (SWEConfig(), None),
+    "flow": (SWEConfig(H=2.0, U=0.8), None),
+    "damped": (SWEConfig(U=-0.5), SigmoidDamping(dgamma=0.3, alpha=0.3, sigma_over_l0=0.05)),
 }
 MASK_U = np.array([False, True])
 
@@ -114,7 +117,7 @@ MASK_U = np.array([False, True])
 @pytest.mark.parametrize("p", [0, 1, 3])
 @pytest.mark.parametrize("case", sorted(SWE_CASES))
 def test_dg_rhs_matches_reference(p, case):
-    sys = swe_system(replace(SWE_CASES[case], damping=None))
+    sys = swe_system(SWE_CASES[case][0])
     mesh = Mesh1D(100.0, 13)
     rng = np.random.default_rng(p)
     q = rng.normal(size=(13, 2, p + 1))
@@ -152,12 +155,14 @@ def test_closure_map_matches_reference_ghost(case):
 
 @pytest.mark.parametrize("case", sorted(SWE_CASES))
 def test_modal_rhs_matches_reference(case):
-    sys = swe_system(SWE_CASES[case])
+    cfg, damping = SWE_CASES[case]
+    sys = swe_system(cfg)
     spec = BasisSpec("functions", 0.05, 20)
     rng = np.random.default_rng(7)
     q = rng.normal(size=(2, 21))
     g = rng.normal(size=2)
-    assert_close(LaguerreModalOperator(sys, spec).rhs(q, 0.0, g), reference_modal_rhs(sys, spec, q, g))
+    assert_close(LaguerreModalOperator(sys, spec, damping).rhs(q, 0.0, g),
+                 reference_modal_rhs(sys, spec, q, g, damping))
 
 
 @pytest.mark.parametrize("p", [0, 1, 3])
@@ -166,8 +171,9 @@ def test_coupled_rhs_matches_reference(p, case):
     def left_bc(t):
         return np.array([0.0, 0.2 * np.sin(t)])
 
+    cfg, damping = SWE_CASES[case]
     spec = BasisSpec("functions", 0.05, 14)
     for bc, mask in ((None, None), (left_bc, MASK_U)):
-        model = CoupledModel(SWE_CASES[case], Mesh1D(100.0, 11), p, spec, left_bc=bc, left_mask=mask)
+        model = CoupledModel(cfg, Mesh1D(100.0, 11), p, spec, left_bc=bc, left_mask=mask, damping=damping)
         y = np.random.default_rng(p + 10).normal(size=model._n_dg + 2 * 15)
-        assert_close(model.rhs(0.7, y), reference_coupled_rhs(model, 0.7, y, bc, mask))
+        assert_close(model.rhs(0.7, y), reference_coupled_rhs(model, 0.7, y, bc, mask, damping))

@@ -233,7 +233,7 @@ class TestDiffMatrix:
         rule = build_rule("glr", "functions", beta, M)
         D = build_diff_matrix(rule)
         # row 2 of the modal operator of q_t + q_z = 0 expands d/dz Lhat_2
-        c = LaguerreModalOperator(_advection_system(1.0), spec, rule).K[2]
+        c = LaguerreModalOperator(_advection_system(1.0), spec).K[2]
         table = laguerre_fun_table(M, beta * rule.nodes)
         assert D @ table[2] == pytest.approx(c @ table, abs=1e-8)
 

@@ -8,10 +8,12 @@ from lagdg.quadrature import build_rule
 from lagdg.semiinf import (
     HyperbolicSystem,
     LaguerreModalOperator,
+    SigmoidDamping,
     default_rule,
     flux_split,
     project,
     reconstruct,
+    sigmoid_gamma,
 )
 
 
@@ -199,29 +201,43 @@ class TestModalRhs:
         assert np.max(np.abs(lam_all + 0.5 * beta * c)) <= 0.1 * beta * c
         assert np.max(lam_all.real) < 0.0
 
-    def test_variable_coefficient_b_matches_quadrature_oracle(self):
+    def test_damping_matches_quadrature_oracle(self):
         # damping gamma(z) enters through projected integrals; compare the
         # operator path against direct quadrature assembly
-        from lagdg.coupled import SigmoidDamping, sigmoid_gamma
-
         beta, M = 0.01, 10
-        damping = SigmoidDamping(dgamma=0.1, L0=500.0, alpha=0.2, sigma=30.0)
-        cfg = SWEConfig(damping=damping)
-        sys = swe_system(cfg)
+        damping = SigmoidDamping(dgamma=0.1, alpha=0.2, sigma_over_l0=0.02)
+        sys = swe_system(SWEConfig())
         spec = BasisSpec("functions", beta, M)
-        op = LaguerreModalOperator(sys, spec)
+        op = LaguerreModalOperator(sys, spec, damping)
         rng = np.random.default_rng(8)
         q = rng.normal(size=(2, M + 1))
         got = op.rhs(q, 0.0, np.zeros(2))
 
-        base = LaguerreModalOperator(swe_system(SWEConfig()), spec)
-        undamped = base.rhs(q, 0.0, np.zeros(2))
+        undamped = LaguerreModalOperator(sys, spec).rhs(q, 0.0, np.zeros(2))
         rule = default_rule(spec)
         phi = laguerre_fun_table(M, beta * rule.nodes)
-        gam = sigmoid_gamma(damping, rule.nodes)
+        gam = sigmoid_gamma(damping, rule.nodes[-1], rule.nodes)
         G = (phi * (rule.weights * gam)) @ phi.T
         expect = undamped - beta * np.array([G @ q[0], G @ q[1]])
         assert got == pytest.approx(expect, abs=1e-12)
+
+    @pytest.mark.parametrize("M", [6, 14, 29])
+    def test_damping_layer_is_placed_at_the_last_node(self, M):
+        # alpha = 1 centres the layer on L0 = op.rule.nodes[-1], so
+        # gamma(alpha L0) = dgamma / 2; the layer is so steep that every other
+        # node sees gamma = 0, and the reaction is that one node's quadrature term
+        beta = 0.05
+        damping = SigmoidDamping(dgamma=0.4, alpha=1.0, sigma_over_l0=1e-6)
+        sys = swe_system(SWEConfig())
+        spec = BasisSpec("functions", beta, M)
+        op = LaguerreModalOperator(sys, spec, damping)
+        L0 = op.rule.nodes[-1]
+        assert sigmoid_gamma(damping, L0, damping.alpha * L0) == 0.2
+        phi_last = laguerre_fun_table(M, beta * L0)
+        reaction = -beta * 0.2 * op.rule.weights[-1] * np.outer(phi_last, phi_last)
+        got = op.K - LaguerreModalOperator(sys, spec).K
+        expect = np.kron(np.eye(2), reaction)
+        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
 class TestStateValidation:
@@ -235,22 +251,15 @@ class TestStateValidation:
     @pytest.mark.parametrize("rule_args", [("glr", 0.02, 20), ("glr", 0.01, 10), ("gl", 0.01, 20)],
                              ids=["beta", "M", "gl-nodes"])
     def test_rule_must_match_basis(self, rule_args):
-        # a rule of another beta, M or node kind would build a wrong K and projection
-        from lagdg.coupled import CoupledModel, SigmoidDamping
-        from lagdg.dg import Mesh1D
-
+        # a rule of another beta, M or node kind would build a wrong projection
         node_kind, beta, M = rule_args
         spec = BasisSpec("functions", 0.01, 20)
         rule = build_rule(node_kind, "functions", beta, M)
-        damped = SWEConfig(damping=SigmoidDamping(dgamma=0.1, L0=500.0))
+        f = lambda z: np.exp(-0.01 * z)
         with pytest.raises(ValueError, match="not the GLR function-basis rule"):
-            LaguerreModalOperator(swe_system(damped), spec, rule)
-        with pytest.raises(ValueError, match="not the GLR function-basis rule"):
-            project([np.exp], spec, rule)
-        with pytest.raises(ValueError, match="not the GLR function-basis rule"):
-            CoupledModel(damped, Mesh1D(10.0, 4), 1, spec, rule=rule)
+            project([f], spec, rule)
         matching = build_rule("glr", "functions", 0.01, 20)
-        assert LaguerreModalOperator(swe_system(damped), spec, matching).rule is matching
+        assert np.array_equal(project([f], spec, matching), project([f], spec))
 
     @pytest.mark.parametrize("shape", [(2, 3), (2,), (2, 2, 2)], ids=["rect", "vector", "3d"])
     def test_system_matrix_must_be_square(self, shape):

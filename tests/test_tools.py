@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -39,6 +40,19 @@ def test_rounding_level_move_passes_and_is_reported(tmp_path, capsys):
 ], ids=["moved", "text", "files"])
 def test_differences_fail(tmp_path, b_kwargs):
     assert run_set_diff.main([str(_tree(tmp_path / "a")), str(_tree(tmp_path / "b", **b_kwargs))]) == 1
+
+
+def test_run_set_runs_every_shipped_config():
+    # byte identity of the run set only covers the configs the script runs
+    root = Path(__file__).resolve().parents[1]
+    script = (root / "tools" / "run_set.sh").read_text()
+    shipped = {p.stem for p in (root / "configs").glob("*.cfg")}
+    named = set(re.findall(r"^run (\w+)", script, re.M))
+    globbed = {p.stem for g in re.findall(r'"\$root"/configs/([\w*]+)\.cfg', script)
+               for p in (root / "configs").glob(g + ".cfg")}
+    assert globbed, "the spectrum_* loop is gone"
+    assert named <= shipped, f"run_set.sh names missing configs {sorted(named - shipped)}"
+    assert shipped <= named | globbed, f"run_set.sh skips {sorted(shipped - named - globbed)}"
 
 
 _pairs_spec = importlib.util.spec_from_file_location(
