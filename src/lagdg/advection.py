@@ -216,14 +216,16 @@ def _nodal_operator(variant: SchemeVariant, beta: float, M: int, u: float) -> Se
 
 def assemble(variant: SchemeVariant, beta: float, M: int, u: float) -> SemiDiscreteOperator:
     """Assemble the (A, g) pair of a variant for advection speed u."""
+    if not np.isfinite(u):
+        raise ValueError(f"u must be finite, got {u}")
     if u == 0:
         raise ValueError("u = 0 has no inflow/outflow character; rejected")
     if variant.direction == INFLOW and u < 0:
         raise ValueError("inflow variants require u > 0")
     if variant.direction == OUTFLOW and u > 0:
         raise ValueError("outflow variants require u < 0")
-    if not beta > 0:
-        raise ValueError("beta must be positive")
+    if not (beta > 0 and np.isfinite(beta)):
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     if M < 0:
         raise ValueError("M must be non-negative")
     if M > _MAX_M:

@@ -35,8 +35,8 @@ class BasisSpec:
     def __post_init__(self):
         if self.kind not in _BASIS_KINDS:
             raise ValueError(f"unknown basis kind {self.kind!r}; expected one of {_BASIS_KINDS}")
-        if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        if not (self.beta > 0 and np.isfinite(self.beta)):
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
         if self.M < 0:
             raise ValueError(f"M must be non-negative, got {self.M}")
 

@@ -3,7 +3,9 @@
 GL rules place all M+1 nodes at the zeros of L_{M+1}; GLR rules pin the
 first node at the origin and put the remaining M nodes at the zeros of
 L'_{M+1}.  Unit-scale (beta = 1) nodes and weights are built first and
-then mapped: nodes divide by beta, weights divide by beta.
+then mapped: nodes divide by beta, weights divide by beta.  The unit
+rule depends only on the node kind and M, so each one is built once per
+process and kept read-only (``_unit_rule``).
 
 Two weight conventions are stored, matching the two basis families:
 
@@ -23,6 +25,7 @@ differentiation matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -127,21 +130,10 @@ def _glr_unit(M: int) -> np.ndarray:
     )
 
 
-def build_rule(node_kind: str, basis_kind: str, beta: float, M: int) -> QuadratureRule:
-    """Construct a scaled rule with the weight convention of basis_kind."""
-    if node_kind not in _NODE_KINDS:
-        raise ValueError(f"unknown node kind {node_kind!r}")
-    if basis_kind not in (LAGUERRE_FUNCTIONS, LAGUERRE_POLYNOMIALS):
-        raise ValueError(f"unknown basis kind {basis_kind!r}")
-    if not beta > 0:
-        raise ValueError("beta must be positive")
-    if M > _MAX_M:
-        raise ValueError(f"M={M} exceeds the supported maximum {_MAX_M}")
-    if node_kind == NODES_GL and M < 0:
-        raise ValueError("GL rules need M >= 0")
-    if node_kind == NODES_GLR and M < 1:
-        raise ValueError("GLR rules need M >= 1")
-
+@lru_cache(maxsize=None)
+def _unit_rule(node_kind: str, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-scale nodes and exp(x)-absorbed weights of a rule, built once per
+    (node kind, M) and shared read-only; build_rule scales copies per beta."""
     n = M + 1
     if node_kind == NODES_GL:
         x = _gl_unit(n)
@@ -153,6 +145,27 @@ def build_rule(node_kind: str, basis_kind: str, beta: float, M: int) -> Quadratu
         # w_j e^{x_j} = 1 / [(M+1) (e^{-x/2} L_M(x_j))^2]
         damped = laguerre_fun_table(M, x)[M] if M > 0 else np.ones_like(x)
         weights = 1.0 / (n * damped**2)
+    x.flags.writeable = False
+    weights.flags.writeable = False
+    return x, weights
+
+
+def build_rule(node_kind: str, basis_kind: str, beta: float, M: int) -> QuadratureRule:
+    """Construct a scaled rule with the weight convention of basis_kind."""
+    if node_kind not in _NODE_KINDS:
+        raise ValueError(f"unknown node kind {node_kind!r}")
+    if basis_kind not in (LAGUERRE_FUNCTIONS, LAGUERRE_POLYNOMIALS):
+        raise ValueError(f"unknown basis kind {basis_kind!r}")
+    if not (beta > 0 and np.isfinite(beta)):
+        raise ValueError(f"beta must be positive and finite, got {beta}")
+    if M > _MAX_M:
+        raise ValueError(f"M={M} exceeds the supported maximum {_MAX_M}")
+    if node_kind == NODES_GL and M < 0:
+        raise ValueError("GL rules need M >= 0")
+    if node_kind == NODES_GLR and M < 1:
+        raise ValueError("GLR rules need M >= 1")
+
+    x, weights = _unit_rule(node_kind, M)
     if basis_kind == LAGUERRE_POLYNOMIALS:
         # Classical weights recovered from the exp(x)-absorbed ones; the
         # bare closed forms would square exp(x/2)-sized polynomial values.

@@ -78,11 +78,20 @@ def _kind(value) -> str:
     return "number" if isinstance(value, (int, float)) and not isinstance(value, bool) else type(value).__name__
 
 
+def _finite(value) -> bool:
+    """False when a NaN or an infinity sits anywhere in a (nested) config value."""
+    if isinstance(value, list):
+        return all(_finite(x) for x in value)
+    return not isinstance(value, float) or bool(np.isfinite(value))
+
+
 def resolve_config(defaults: dict, cfg: dict, scenario: str) -> dict:
     unknown = [k for k in cfg if k not in defaults and k != "scenario"]
     if unknown:
         raise ConfigError(f"unknown keys for scenario {scenario!r}: {unknown}")
     for k, v in cfg.items():
+        if not _finite(v):
+            raise ConfigError(f"key {k!r} of scenario {scenario!r} must be finite; got {v!r}")
         kind = _kind(defaults[k][0]) if isinstance(defaults.get(k), list) else None
         if kind and not (isinstance(v, list) and all(_kind(x) == kind for x in v)):
             raise ConfigError(f"key {k!r} of scenario {scenario!r} takes a list, each element a {kind}; got {v!r}")

@@ -164,3 +164,8 @@ class TestApplyAndValidation:
             assemble(SchemeVariant("modal", "functions", direction=OUTFLOW), 1.0, 4, 1.0)
         with pytest.raises(ValueError):
             assemble(SchemeVariant("modal", "functions", direction=INFLOW), 1.0, 4, 0.0)
+
+    @pytest.mark.parametrize("beta, u", [(np.inf, 1.0), (np.nan, 1.0), (1.0, np.nan), (1.0, np.inf)])
+    def test_non_finite_beta_or_speed_rejected(self, beta, u):
+        with pytest.raises(ValueError, match="finite"):
+            assemble(SchemeVariant("modal", "functions", direction=INFLOW), beta, 4, u)

@@ -167,3 +167,6 @@ class TestBasisSpecValidation:
             BasisSpec("functions", 1.0, -1)
         with pytest.raises(ValueError):
             BasisSpec("hermite", 1.0, 3)
+        for beta in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                BasisSpec("functions", beta, 3)

@@ -149,6 +149,24 @@ class TestCliCommands:
         assert main(args) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        ["spectrum", "--form", "modal", "--basis", "functions", "--direction", "inflow",
+         "--beta", "1", "--M", "10", "--u", "nan"],
+        ["spectrum", "--form", "modal", "--basis", "functions", "--direction", "inflow",
+         "--beta", "inf", "--M", "10"],
+        ["rule", "--nodes", "glr", "--basis", "functions", "--beta", "inf", "--M", "10"],
+        ["run", "--config", str(CONFIG_DIR / "wavetrain_15nodes.cfg"), "--override", "T=Infinity"],
+        ["run", "--config", str(CONFIG_DIR / "wavetrain_15nodes.cfg"), "--override", "beta=Infinity"],
+        ["run", "--config", str(CONFIG_DIR / "absorption_main.cfg"), "--override",
+         "rows=[[40, Infinity, 600, 0.0035714285714285713]]"],
+    ], ids=["spectrum-u-nan", "spectrum-beta-inf", "rule-beta-inf", "run-T-inf", "run-beta-inf",
+            "run-nested-list-inf"])
+    def test_non_finite_numbers_are_config_errors(self, tmp_path, capsys, args):
+        # rejected before anything is written, not as a NaN result or a numerical failure
+        assert main(args + ["--output", str(tmp_path / "o")]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not any((tmp_path / "o").glob("*.csv"))
+
     def test_missing_config_file(self, tmp_path):
         rc = main(["run", "--config", str(tmp_path / "missing.cfg"),
                    "--output", str(tmp_path / "o")])
@@ -186,7 +204,7 @@ class TestCliCommands:
             capture_output=True, text=True)
         assert proc.returncode == 0
 
-    def test_lapack_failure_exits_3(self, monkeypatch, tmp_path, capsys):
+    def test_lapack_failure_exits_3(self, cold_unit_rules, monkeypatch, tmp_path, capsys):
         # LinAlgError subclasses ValueError; it must still count as numerical
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lagdg import quadrature
+from lagdg.advection import SchemeVariant, assemble
 from lagdg.basis import BasisSpec, laguerre_fun_table, laguerre_poly_table
 from lagdg.cli import main
 from lagdg.quadrature import (
@@ -81,6 +82,10 @@ class TestRuleConstruction:
             build_rule("gl", "functions", 1.0, 201)
         with pytest.raises(ValueError):
             build_rule("gl", "functions", -1.0, 5)
+        for node_kind in ("gl", "glr"):
+            for beta in (np.inf, np.nan):
+                with pytest.raises(ValueError, match="finite"):
+                    build_rule(node_kind, "functions", beta, 10)
 
     def test_underflowing_polynomial_weights_raise_and_exit_3(self, tmp_path):
         # the scaled classical weights must stay normal doubles: at
@@ -155,11 +160,80 @@ class TestGLRNewton:
     def test_bit_identical_to_per_node_solve(self, M):
         assert np.array_equal(quadrature._glr_unit(M), glr_unit_per_node(M))
 
-    def test_non_convergence_raises_and_exits_3(self, monkeypatch, tmp_path):
+    def test_non_convergence_raises_and_exits_3(self, cold_unit_rules, monkeypatch, tmp_path):
         monkeypatch.setattr(quadrature, "_NEWTON_MAXIT", 2)
         with pytest.raises(RuntimeError, match="did not converge for M=20"):
             build_rule("glr", "functions", 1.0, 20)
         assert main(["rule", "--nodes", "glr", "--M", "20", "--output", str(tmp_path)]) == 3
+
+
+class TestUnitRuleCache:
+    @staticmethod
+    def _build(node_kind, basis_kind, beta, M):
+        try:
+            return build_rule(node_kind, basis_kind, beta, M)
+        except RuntimeError as exc:  # underflowing polynomial weights
+            return str(exc)
+
+    @staticmethod
+    def _assert_bitwise_equal(a, b):
+        if isinstance(a, str) or isinstance(b, str):
+            assert a == b
+            return
+        assert (a.node_kind, a.basis_kind, a.beta, a.M) == (b.node_kind, b.basis_kind, b.beta, b.M)
+        assert a.nodes.tobytes() == b.nodes.tobytes()
+        assert a.weights.tobytes() == b.weights.tobytes()
+
+    @pytest.mark.parametrize("M", [1, 10, 25, 50, 180, 193])
+    @pytest.mark.parametrize("basis_kind", ["functions", "polynomials"])
+    @pytest.mark.parametrize("node_kind", ["gl", "glr"])
+    def test_cached_build_is_bitwise_equal_to_uncached(self, cold_unit_rules, monkeypatch,
+                                                       node_kind, basis_kind, M):
+        betas = (0.0025, 0.25, 1.0, 2.0)
+        cold = [self._build(node_kind, basis_kind, beta, M) for beta in betas]
+        warm = [self._build(node_kind, basis_kind, beta, M) for beta in betas]
+        monkeypatch.setattr(quadrature, "_unit_rule", quadrature._unit_rule.__wrapped__)
+        for beta, a, b in zip(betas, cold, warm):
+            expect = self._build(node_kind, basis_kind, beta, M)
+            self._assert_bitwise_equal(a, expect)
+            self._assert_bitwise_equal(b, expect)
+
+    @pytest.mark.parametrize("node_kind", ["gl", "glr"])
+    def test_cached_arrays_are_read_only(self, node_kind):
+        for arr in quadrature._unit_rule(node_kind, 10):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+
+    @pytest.mark.parametrize("basis_kind", ["functions", "polynomials"])
+    @pytest.mark.parametrize("node_kind", ["gl", "glr"])
+    def test_writing_a_rule_leaves_the_next_build_unchanged(self, node_kind, basis_kind):
+        rule = build_rule(node_kind, basis_kind, 1.0, 12)
+        nodes, weights = rule.nodes.copy(), rule.weights.copy()
+        rule.nodes[:] = -1.0
+        rule.weights[:] = -1.0
+        again = build_rule(node_kind, basis_kind, 1.0, 12)
+        assert np.array_equal(again.nodes, nodes) and np.array_equal(again.weights, weights)
+
+    def test_stability_sweep_solves_each_glr_order_once(self, cold_unit_rules, monkeypatch):
+        # every variant that builds a rule, at one (beta, M) and then at a second beta
+        solved = []
+        glr_unit = quadrature._glr_unit
+
+        def counting(M):
+            solved.append(M)
+            return glr_unit(M)
+
+        monkeypatch.setattr(quadrature, "_glr_unit", counting)
+        variants = [SchemeVariant(form, basis, nodes, direction)
+                    for form in ("strong", "nodal") for basis in ("functions", "polynomials")
+                    for nodes in ("gl", "glr") for direction in ("inflow", "outflow")
+                    if not (form == "strong" and nodes == "gl")]
+        assert len(variants) == 12
+        for beta in (0.5, 2.0):
+            for variant in variants:
+                assemble(variant, beta, 25, 1.0 if variant.direction == "inflow" else -1.0)
+        assert solved == [25]
 
 
 class TestCardinalBasis:

@@ -1,8 +1,12 @@
-"""tools/run_set_diff.py on small hand-made output trees."""
+"""tools/run_set_diff.py on small hand-made output trees, tools/bench_pairs.py
+on hand-made results, and the benchmark's hooks on the lagdg modules."""
 
 import importlib.util
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -90,3 +94,23 @@ def test_bench_pairs_flags_bad_runs(bad):
     lines, ok = bench_pairs.summarize([(_result(2.0, 1.0), _result(1.0, 2.0)), (bad, _result(1.0, 2.0))],
                                       _END_TO_END)
     assert not ok and lines[0] == "2 pairs; every run correct: False"
+
+
+# The benchmark rebinds lagdg functions by name; a decorator that hides a
+# public function from it (an lru_cache on build_rule, say) aborts the run.
+_HOOKS = {
+    "tracer": "import tracer; tracer.install(tracer.Tracer())",
+    "timeline": ("import importlib, child, tracer; "
+                 "mods = {m: importlib.import_module('lagdg.' + m) for m in "
+                 "('basis', 'quadrature', 'advection', 'semiinf', 'dg', 'coupled', 'scenarios')}; "
+                 "child.Timeline([]).install(mods, tracer.ROW_RUNNERS)"),
+}
+
+
+@pytest.mark.parametrize("hook", sorted(_HOOKS))
+def test_benchmark_hooks_install_on_lagdg(hook):
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "perfbench"), str(root / "src")])
+    proc = subprocess.run([sys.executable, "-c", _HOOKS[hook]], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
