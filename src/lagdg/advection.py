@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import LAGUERRE_FUNCTIONS, LAGUERRE_POLYNOMIALS
+from .basis import LAGUERRE_FUNCTIONS, LAGUERRE_POLYNOMIALS, BasisSpec
 from .quadrature import (
     _MAX_M,
     NODES_GL,
@@ -28,6 +28,7 @@ from .quadrature import (
     build_rule,
     cardinal_values_at_origin,
 )
+from .semiinf import LaguerreModalOperator, scalar_system
 
 FORM_STRONG = "strong"
 FORM_NODAL = "nodal"
@@ -89,14 +90,11 @@ def _modal_operator(variant: SchemeVariant, beta: float, M: int, u: float) -> Se
     n = M + 1
     ones = np.ones(n)
     if variant.basis_kind == LAGUERRE_FUNCTIONS:
-        low = np.tril(np.ones((n, n)))
-        np.fill_diagonal(low, 0.5)
-        if variant.direction == INFLOW:
-            A = -beta * u * low
-            g = beta * u * variant.q_left * ones
-        else:
-            A = beta * u * low.T
-            g = np.zeros(n)
+        # the scalar case of the coupled solver's Laguerre operator: K, plus
+        # the outgoing trace sum fed back into every mode
+        op = LaguerreModalOperator(scalar_system(u), BasisSpec(LAGUERRE_FUNCTIONS, beta, M))
+        A = op.K if variant.direction == INFLOW else op.K + beta * op.a_minus[0, 0]
+        g = beta * op.a_plus[0, 0] * variant.q_left * ones
         exact = np.full(n, -0.5 * beta * abs(u), dtype=complex)
     else:
         if variant.direction == INFLOW:

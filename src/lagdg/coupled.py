@@ -82,7 +82,6 @@ class CoupledModel:
     left_bc and left_mask go to the DG operator, which owns the left
     boundary (see DGOperator); without them it is transmissive.  damping
     goes to the modal operator: the finite domain always runs undamped.
-    The initial projection shares the modal operator's rule.
     """
 
     def __init__(self, cfg: SWEConfig, mesh: Mesh1D, p: int, spec: BasisSpec,
@@ -113,8 +112,7 @@ class CoupledModel:
         """Flat state of (h, u) profiles given in the physical coordinate."""
         L = self.mesh.length
         dg = self.dg_op.project([h_fun, u_fun])
-        semi = project_semi([lambda z: h_fun(z + L), lambda z: u_fun(z + L)],
-                            self.spec, self.semi_op.rule)
+        semi = project_semi([lambda z: h_fun(z + L), lambda z: u_fun(z + L)], self.spec)
         return np.concatenate([dg, semi.ravel()])
 
     def centers_view(self, y: np.ndarray) -> np.ndarray:

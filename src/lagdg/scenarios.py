@@ -21,7 +21,7 @@ from .coupled import CoupledModel, SWEConfig, run_simulation, swe_system
 from .dg import DGOperator, Mesh1D
 from .diagnostics import energy_error, error_norms, reflection_ratio
 from .quadrature import build_rule
-from .semiinf import HyperbolicSystem, SigmoidDamping, reconstruct
+from .semiinf import SigmoidDamping, default_rule, reconstruct, scalar_system
 from .spectrum import classify
 
 FLOAT_FORMAT = "%.8e"
@@ -195,7 +195,7 @@ def _snapshot_csv(outdir: Path, name: str, model: CoupledModel, y: np.ndarray) -
     centers = model.mesh.centers
     vals = model.centers_view(y)
     rows = [(x, vals[i, 0], vals[i, 1]) for i, x in enumerate(centers)]
-    rule = model.semi_op.rule
+    rule = default_rule(model.spec)
     semi_vals = reconstruct(model.split(y)[1], model.spec, rule.nodes)
     rows += [(model.mesh.length + z, semi_vals[0, i], semi_vals[1, i]) for i, z in enumerate(rule.nodes)]
     write_csv(outdir / name, ["x", "h", "u"], rows)
@@ -292,8 +292,9 @@ def run_coupling_validation(cfg: dict, outdir: Path) -> dict:
     unknown = [d for d in cfg["directions"] if d not in ("ingoing", "outgoing")]
     if unknown:
         raise ConfigError(f"directions {unknown} are not 'ingoing' or 'outgoing'")
-    if "outgoing" in cfg["directions"] and int(cfg["nt_outgoing"]) < 1:
-        raise ConfigError(f"nt_outgoing must be at least 1, got {cfg['nt_outgoing']}")
+    for d in cfg["directions"]:
+        if int(cfg[f"nt_{d}"]) < 1:
+            raise ConfigError(f"nt_{d} must be at least 1, got {cfg[f'nt_{d}']}")
     tasks = [(d, h1, s) for d in cfg["directions"] for h1 in cfg["h1_list"] for s in cfg["sigma_list"]]
     rows = _map_rows(lambda t: _validation_row(cfg, *t, outdir), tasks)
     return _write_results(outdir, cfg, ["x0", "h1", "sigma", "e1_h", "e1_u", "e2_h", "e2_u",
@@ -412,13 +413,9 @@ CONVERGENCE_DEFAULTS = {
 }
 
 
-def _advection_system(u: float) -> HyperbolicSystem:
-    return HyperbolicSystem(np.array([[u]]), (np.eye(1), np.array([u]), np.eye(1)))
-
-
 def dg_advection_error(u: float, p: int, nx: int, T: float, cfl: float) -> float:
     """L2 error of p-degree DG for q_t + u q_z = 0 with exact inflow data."""
-    sys = _advection_system(u)
+    sys = scalar_system(u)
     mesh = Mesh1D(1.0, nx)
     exact = lambda x, t: np.sin(2 * np.pi * (x - u * t))
     op = DGOperator(sys, mesh, p, lambda t: np.array([exact(0.0, t)]), np.array([True]))

@@ -42,6 +42,11 @@ class HyperbolicSystem:
         return self.a.shape[0]
 
 
+def scalar_system(u: float) -> HyperbolicSystem:
+    """Scalar advection q_t + u q_z = 0 as a d = 1 system."""
+    return HyperbolicSystem(np.array([[u]]), (np.eye(1), np.array([u]), np.eye(1)))
+
+
 @dataclass(frozen=True)
 class SigmoidDamping:
     """Rayleigh damping profile dgamma / (1 + exp((alpha L0 - z) / sigma)),
@@ -82,29 +87,13 @@ def default_rule(spec: BasisSpec) -> QuadratureRule:
     return build_rule(NODES_GLR, LAGUERRE_FUNCTIONS, spec.beta, spec.M)
 
 
-def _matching_rule(spec: BasisSpec, rule: QuadratureRule | None) -> QuadratureRule:
-    """rule, or default_rule(spec) when None; any other rule than spec's GLR
-    function-basis rule would build a wrong projection."""
-    if rule is None:
-        return default_rule(spec)
-    if (rule.node_kind, rule.basis_kind, rule.beta, rule.M) != (NODES_GLR, LAGUERRE_FUNCTIONS, spec.beta, spec.M):
-        raise ValueError(f"rule ({rule.node_kind}, {rule.basis_kind}, beta={rule.beta}, M={rule.M}) is not "
-                         f"the GLR function-basis rule of the basis (beta={spec.beta}, M={spec.M})")
-    return rule
-
-
-def basis_values_at_nodes(spec: BasisSpec, rule: QuadratureRule) -> np.ndarray:
-    """Table Phi[j, l] = Lhat_j(z_l) on the rule's nodes."""
-    return laguerre_fun_table(spec.M, spec.beta * rule.nodes)
-
-
-def project(component_funcs, spec: BasisSpec, rule: QuadratureRule | None = None) -> np.ndarray:
+def project(component_funcs, spec: BasisSpec) -> np.ndarray:
     """GLR-quadrature projection q_kj = beta * sum_l w_l f_k(z_l) Lhat_j(z_l),
     shape (d, M+1)."""
     if spec.kind != LAGUERRE_FUNCTIONS:
         raise ValueError("modal projection uses the Laguerre function basis")
-    rule = _matching_rule(spec, rule)
-    phi = basis_values_at_nodes(spec, rule)
+    rule = default_rule(spec)
+    phi = laguerre_fun_table(spec.M, spec.beta * rule.nodes)
     fvals = np.array([np.asarray(f(rule.nodes), dtype=float) for f in component_funcs])
     coeffs = spec.beta * (fvals * rule.weights) @ phi.T
     if not np.all(np.isfinite(coeffs)):
@@ -128,16 +117,16 @@ class LaguerreModalOperator:
     Builds the interior operator once as one (d(M+1), d(M+1)) matrix K over
     the flattened coefficients: -beta a (x) T, plus the GLR-quadrature
     projection of the Rayleigh reaction -gamma(z) q when damping is set.
-    The damping layer's length L0 is the last node of rule, the GLR rule
-    of spec.  Boundary data g(t) enters through A+ at the local origin;
-    the outgoing trace feeds back through A-.
+    The damping layer's length L0 is the last node of spec's GLR rule,
+    which is built only then, so an undamped operator takes any M >= 0.
+    Boundary data g(t) enters through A+ at the local origin; the outgoing
+    trace feeds back through A-.
     """
 
     def __init__(self, sys: HyperbolicSystem, spec: BasisSpec, damping: SigmoidDamping | None = None):
         if spec.kind != LAGUERRE_FUNCTIONS:
             raise ValueError("modal operator requires the Laguerre function basis")
         self.spec = spec
-        self.rule = default_rule(spec)
         beta, M = spec.beta, spec.M
         self.a_plus, self.a_minus = flux_split(sys.a, sys.eig)
 
@@ -146,9 +135,10 @@ class LaguerreModalOperator:
         K = np.kron(-beta * sys.a, T)
         if damping is not None:
             # sum_n w_n (-gamma(z_n)) Lhat_i(z_n) Lhat_j(z_n), the same on every component
-            nodes = self.rule.nodes
-            wg = -sigmoid_gamma(damping, nodes[-1], nodes) * self.rule.weights
-            phi = basis_values_at_nodes(spec, self.rule)
+            rule = default_rule(spec)
+            nodes = rule.nodes
+            wg = -sigmoid_gamma(damping, nodes[-1], nodes) * rule.weights
+            phi = laguerre_fun_table(M, beta * nodes)
             K += np.kron(np.eye(sys.d), beta * np.einsum("n,in,jn->ij", wg, phi, phi))
         self.K = K
 

@@ -36,8 +36,8 @@ from lagdg.advection import SchemeVariant, assemble
 from lagdg.basis import BasisSpec, laguerre_fun_table
 from lagdg.coupled import SWEConfig, rk3_step, swe_system
 from lagdg.quadrature import build_rule
-from lagdg.scenarios import _advection_system, dg_advection_error, run_scenario
-from lagdg.semiinf import LaguerreModalOperator
+from lagdg.scenarios import dg_advection_error, run_scenario
+from lagdg.semiinf import LaguerreModalOperator, scalar_system
 from lagdg.spectrum import classify, eigenvalues
 
 BETAS = (0.5, 1.0, 2.0)
@@ -295,7 +295,7 @@ def test_criterion_9_oracle_equivalences():
     # (c) derivative expansions vs central finite differences: row 5 of the
     # modal operator of q_t + q_z = 0 expands d/dz Lhat_5
     spec = BasisSpec("functions", 1.0, 6)
-    c = LaguerreModalOperator(_advection_system(1.0), spec).K[5]
+    c = LaguerreModalOperator(scalar_system(1.0), spec).K[5]
     h = 1e-6
     for z in rng.uniform(0.1, 8.0, size=6):
         recon = c @ laguerre_fun_table(6, z)

@@ -10,8 +10,7 @@ from lagdg.advection import (
 )
 from lagdg.basis import BasisSpec, laguerre_fun_table
 from lagdg.quadrature import _MAX_M, build_diff_matrix, build_rule
-from lagdg.scenarios import _advection_system
-from lagdg.semiinf import LaguerreModalOperator
+from lagdg.semiinf import LaguerreModalOperator, scalar_system
 from lagdg.spectrum import eigenvalues
 
 
@@ -34,6 +33,27 @@ class TestModalVariants:
         assert op.A == pytest.approx(expect)
         assert op.g == pytest.approx(np.full(4, 2.0))
         assert op.dof_offset == 0
+
+    @pytest.mark.parametrize("q_left", [0.0, 1.0, -1.3])
+    @pytest.mark.parametrize("M", [0, 1, 10, 50, 180])
+    @pytest.mark.parametrize("direction,u", [(INFLOW, 2.7), (OUTFLOW, -0.37)])
+    def test_function_matrix_and_forcing_against_mode_coupling(self, direction, u, M, q_left):
+        # T: strictly lower ones, 1/2 on the diagonal.  Inflow is -beta u T with
+        # forcing beta u q_left; outflow adds the trace feedback beta u 11^T,
+        # which leaves beta u T^T and no forcing.  Every entry is one product
+        # or an exact cancellation, so the match is exact.
+        beta = 0.3
+        op = assemble(SchemeVariant("modal", "functions", direction=direction, q_left=q_left), beta, M, u)
+        T = np.tril(np.ones((M + 1, M + 1)), -1)
+        np.fill_diagonal(T, 0.5)
+        if direction == INFLOW:
+            assert np.array_equal(op.A, -beta * u * T)
+            assert np.array_equal(op.g, np.full(M + 1, beta * u * q_left))
+        else:
+            assert np.array_equal(op.A, beta * u * T.T)
+            assert np.all(op.g == 0)
+        if M == 0:
+            assert np.array_equal(op.A, [[-beta * abs(u) / 2]])
 
     def test_poly_outflow_strictly_upper(self):
         op = assemble(SchemeVariant("modal", "polynomials", direction=OUTFLOW), 1.0, 2, -1.0)
@@ -62,7 +82,7 @@ class TestStrongCollocation:
         beta, M = 1.0, 5
         op = assemble(SchemeVariant("strong", "functions", direction=OUTFLOW), beta, M, -1.0)
         # row 2 of the modal operator of q_t + q_z = 0 expands d/dz Lhat_2
-        c = LaguerreModalOperator(_advection_system(1.0), BasisSpec("functions", beta, M)).K[2]
+        c = LaguerreModalOperator(scalar_system(1.0), BasisSpec("functions", beta, M)).K[2]
         table = laguerre_fun_table(M, beta * build_rule("glr", "functions", beta, M).nodes)
         assert op.A @ table[2] == pytest.approx(c @ table, abs=1e-8)
         assert np.all(op.g == 0)
@@ -126,6 +146,31 @@ class TestWeakNodal:
             u = 1.0 if direction == INFLOW else -1.0
             op = assemble(SchemeVariant("nodal", "functions", nodes, direction), 1.0, 10, u)
             assert op.n == n
+
+
+ALL_VARIANTS = [SchemeVariant(form, basis, nodes, direction, q_left=1.0)
+                for form, node_kinds in (("strong", ("glr",)), ("nodal", ("gl", "glr")), ("modal", ("glr",)))
+                for basis in ("functions", "polynomials")
+                for nodes in node_kinds
+                for direction in (INFLOW, OUTFLOW)]
+
+
+class TestBetaScaling:
+    # beta only rescales z, so every assembled pair is beta times its beta = 1
+    # pair: a dropped or doubled beta in any assembly path breaks that by O(1).
+    # Measured: A within 2.6e-14 and g within 2.1e-14 of the largest entry.
+    # M = 1 is left out: the GLR function inflow strong and nodal matrices are
+    # then a 1x1 cancellation whose exact value is 0, and the ratio reads noise.
+    @pytest.mark.parametrize("variant", ALL_VARIANTS,
+                             ids=lambda v: f"{v.form}-{v.basis_kind}-{v.node_kind}-{v.direction}")
+    def test_operator_scales_with_beta(self, variant):
+        u = 1.0 if variant.direction == INFLOW else -1.0
+        for M in (5, 10, 25):
+            unit = assemble(variant, 1.0, M, u)
+            for beta in (0.37, 2.0):
+                op = assemble(variant, beta, M, u)
+                assert np.max(np.abs(op.A - beta * unit.A)) <= 1e-12 * np.max(np.abs(op.A))
+                assert np.max(np.abs(op.g - beta * unit.g)) <= 1e-12 * np.max(np.abs(op.g))
 
 
 class TestApplyAndValidation:

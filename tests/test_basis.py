@@ -6,8 +6,7 @@ import pytest
 from lagdg.advection import OUTFLOW, SchemeVariant, assemble
 from lagdg.basis import BasisSpec, laguerre_fun_table, laguerre_poly_table, legendre_eval
 from lagdg.dg import Mesh1D, center_values, edge_values, project_dg
-from lagdg.scenarios import _advection_system
-from lagdg.semiinf import LaguerreModalOperator
+from lagdg.semiinf import LaguerreModalOperator, scalar_system
 
 
 def laguerre_series(j, x):
@@ -32,7 +31,7 @@ def fun_rows(spec, z):
 def function_derivative_rows(spec):
     """Row i holds the c_k of d/dz Lhat_i = sum_k c_k Lhat_k: the modal
     operator of q_t + q_z = 0 is K = -beta T."""
-    return LaguerreModalOperator(_advection_system(1.0), spec).K
+    return LaguerreModalOperator(scalar_system(1.0), spec).K
 
 
 def poly_derivative_columns(spec):

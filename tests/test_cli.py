@@ -134,20 +134,24 @@ class TestCliCommands:
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "o" / "results.csv").exists()
 
-    @pytest.mark.parametrize("config, overrides", [
-        ("wavetrain_15nodes", ["cfl=0"]),
-        ("wavetrain_15nodes", ["T=0"]),
-        ("absorption_main", ["rows=[[10, 100, 0, 0.0035714285714285713]]"]),
-        ("convergence_dg", ["cfl=0"]),
-        ("coupling_validation", ["nt_outgoing=0", 'directions=["outgoing"]']),
-    ], ids=["wavetrain-cfl", "wavetrain-T", "absorption-steps", "convergence-cfl", "validation-nt"])
-    def test_zero_length_runs_are_config_errors(self, tmp_path, capsys, config, overrides):
-        # no step count can be derived: rejected before the division, not with a traceback
+    @pytest.mark.parametrize("config, overrides, reason", [
+        ("wavetrain_15nodes", ["cfl=0"], "positive T and cfl"),
+        ("wavetrain_15nodes", ["T=0"], "positive T and cfl"),
+        ("absorption_main", ["rows=[[10, 100, 0, 0.0035714285714285713]]"], "steps >= 1"),
+        ("convergence_dg", ["cfl=0"], "positive T and cfl"),
+        ("coupling_validation", ["nt_outgoing=0", 'directions=["outgoing"]'], "nt_outgoing must be at least 1"),
+        ("coupling_validation", ["nt_ingoing=0"], "nt_ingoing must be at least 1"),
+    ], ids=["wavetrain-cfl", "wavetrain-T", "absorption-steps", "convergence-cfl", "validation-nt",
+            "validation-nt-ingoing"])
+    def test_zero_length_runs_are_config_errors(self, tmp_path, capsys, config, overrides, reason):
+        # no step count can be derived: rejected up front with the reason, not with a
+        # traceback or a later failure that names something else
         args = ["run", "--config", str(CONFIG_DIR / f"{config}.cfg"), "--output", str(tmp_path / "o")]
         for item in overrides:
             args += ["--override", item]
         assert main(args) == 2
-        assert "configuration error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "configuration error" in err and reason in err
 
     @pytest.mark.parametrize("args", [
         ["spectrum", "--form", "modal", "--basis", "functions", "--direction", "inflow",

@@ -18,8 +18,8 @@ from lagdg.dg import (
     eval_at_centers,
     project_dg,
 )
-from lagdg.scenarios import dg_advection_error, _advection_system
-from lagdg.semiinf import flux_split
+from lagdg.scenarios import dg_advection_error
+from lagdg.semiinf import flux_split, scalar_system
 
 
 class TestProjection:
@@ -66,7 +66,7 @@ class TestRhs:
         assert np.max(np.abs(rhs)) < 1e-13
 
     def test_p0_reduces_to_upwind_finite_volume(self):
-        sys = _advection_system(1.0)
+        sys = scalar_system(1.0)
         mesh = Mesh1D(1.0, 10)
         rng = np.random.default_rng(1)
         q = rng.normal(size=(10, 1, 1))
@@ -88,7 +88,7 @@ class TestRhs:
 
     def test_conservation_of_compact_pulse(self):
         # zero boundary fluxes: total integral of the state is conserved
-        sys = _advection_system(1.0)
+        sys = scalar_system(1.0)
         mesh = Mesh1D(1.0, 40)
         f = lambda z: np.exp(-(((z - 0.35) / 0.05) ** 2))
         op = DGOperator(sys, mesh, 1, lambda t: np.array([0.0]), np.array([True]))
@@ -115,11 +115,11 @@ class TestRhs:
 
 class TestTraceAndGhost:
     def test_trace_p0(self):
-        op = DGOperator(_advection_system(1.0), Mesh1D(2.0, 2), 0)
+        op = DGOperator(scalar_system(1.0), Mesh1D(2.0, 2), 0)
         assert op.right_trace(np.array([[2.0], [5.0]])) == pytest.approx([5.0])
 
     def test_trace_p1(self):
-        op = DGOperator(_advection_system(1.0), Mesh1D(1.0, 1), 1)
+        op = DGOperator(scalar_system(1.0), Mesh1D(1.0, 1), 1)
         assert op.right_trace(np.array([[1.0, 0.5]])) == pytest.approx([1.0 + np.sqrt(3) * 0.5])
 
     def test_trace_matches_eval(self):

@@ -12,7 +12,7 @@ the damped case keeps its background flow U = -0.5 there.
 import numpy as np
 import pytest
 
-from lagdg.basis import BasisSpec
+from lagdg.basis import BasisSpec, laguerre_fun_table
 from lagdg.coupled import CoupledModel, SWEConfig, swe_system
 from lagdg.dg import (
     DGOperator,
@@ -25,7 +25,6 @@ from lagdg.dg import (
 from lagdg.semiinf import (
     LaguerreModalOperator,
     SigmoidDamping,
-    basis_values_at_nodes,
     default_rule,
     flux_split,
     sigmoid_gamma,
@@ -67,7 +66,7 @@ def reference_dg_rhs(sys, mesh, p, coeffs, left_values, left_mask, right_exterio
 
 
 def _quadrature_projection(fn, spec, rule):
-    phi = basis_values_at_nodes(spec, rule)
+    phi = laguerre_fun_table(spec.M, spec.beta * rule.nodes)
     vals = np.array([np.asarray(fn(z), dtype=float) for z in rule.nodes])
     return np.einsum("nkl,in,jn->klij", vals * rule.weights[:, None, None], phi, phi)
 

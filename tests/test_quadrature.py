@@ -13,8 +13,7 @@ from lagdg.quadrature import (
     cardinal_values_at_origin,
     lagrange_cardinal_eval,
 )
-from lagdg.scenarios import _advection_system
-from lagdg.semiinf import LaguerreModalOperator
+from lagdg.semiinf import LaguerreModalOperator, scalar_system
 
 
 def barycentric_cardinal(nodes, j, z):
@@ -307,7 +306,7 @@ class TestDiffMatrix:
         rule = build_rule("glr", "functions", beta, M)
         D = build_diff_matrix(rule)
         # row 2 of the modal operator of q_t + q_z = 0 expands d/dz Lhat_2
-        c = LaguerreModalOperator(_advection_system(1.0), spec).K[2]
+        c = LaguerreModalOperator(scalar_system(1.0), spec).K[2]
         table = laguerre_fun_table(M, beta * rule.nodes)
         assert D @ table[2] == pytest.approx(c @ table, abs=1e-8)
 

@@ -4,7 +4,6 @@ import pytest
 from lagdg.advection import SchemeVariant, assemble
 from lagdg.basis import BasisSpec, laguerre_fun_table
 from lagdg.coupled import SWEConfig, swe_system
-from lagdg.quadrature import build_rule
 from lagdg.semiinf import (
     HyperbolicSystem,
     LaguerreModalOperator,
@@ -13,12 +12,9 @@ from lagdg.semiinf import (
     flux_split,
     project,
     reconstruct,
+    scalar_system,
     sigmoid_gamma,
 )
-
-
-def scalar_system(u):
-    return HyperbolicSystem(np.array([[u]]), (np.eye(1), np.array([u]), np.eye(1)))
 
 
 def swe_eig(H, g):
@@ -93,9 +89,8 @@ class TestProjection:
         spec = BasisSpec("functions", 1.5, 10)
         rng = np.random.default_rng(4)
         coeffs = rng.normal(size=(1, 11))
-        rule = default_rule(spec)
         f = lambda z: reconstruct(coeffs, spec, z)[0]
-        back = project([f], spec, rule)
+        back = project([f], spec)
         assert back == pytest.approx(coeffs, abs=1e-9)
 
     def test_reconstruct_at_origin_and_errors(self):
@@ -223,7 +218,7 @@ class TestModalRhs:
 
     @pytest.mark.parametrize("M", [6, 14, 29])
     def test_damping_layer_is_placed_at_the_last_node(self, M):
-        # alpha = 1 centres the layer on L0 = op.rule.nodes[-1], so
+        # alpha = 1 centres the layer on L0, the last node of the GLR rule, so
         # gamma(alpha L0) = dgamma / 2; the layer is so steep that every other
         # node sees gamma = 0, and the reaction is that one node's quadrature term
         beta = 0.05
@@ -231,10 +226,11 @@ class TestModalRhs:
         sys = swe_system(SWEConfig())
         spec = BasisSpec("functions", beta, M)
         op = LaguerreModalOperator(sys, spec, damping)
-        L0 = op.rule.nodes[-1]
+        rule = default_rule(spec)
+        L0 = rule.nodes[-1]
         assert sigmoid_gamma(damping, L0, damping.alpha * L0) == 0.2
         phi_last = laguerre_fun_table(M, beta * L0)
-        reaction = -beta * 0.2 * op.rule.weights[-1] * np.outer(phi_last, phi_last)
+        reaction = -beta * 0.2 * rule.weights[-1] * np.outer(phi_last, phi_last)
         got = op.K - LaguerreModalOperator(sys, spec).K
         expect = np.kron(np.eye(2), reaction)
         assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
@@ -247,19 +243,6 @@ class TestStateValidation:
             project([lambda z: np.ones_like(z)], spec)
         with pytest.raises(ValueError, match="function basis"):
             LaguerreModalOperator(scalar_system(1.0), spec)
-
-    @pytest.mark.parametrize("rule_args", [("glr", 0.02, 20), ("glr", 0.01, 10), ("gl", 0.01, 20)],
-                             ids=["beta", "M", "gl-nodes"])
-    def test_rule_must_match_basis(self, rule_args):
-        # a rule of another beta, M or node kind would build a wrong projection
-        node_kind, beta, M = rule_args
-        spec = BasisSpec("functions", 0.01, 20)
-        rule = build_rule(node_kind, "functions", beta, M)
-        f = lambda z: np.exp(-0.01 * z)
-        with pytest.raises(ValueError, match="not the GLR function-basis rule"):
-            project([f], spec, rule)
-        matching = build_rule("glr", "functions", 0.01, 20)
-        assert np.array_equal(project([f], spec, matching), project([f], spec))
 
     @pytest.mark.parametrize("shape", [(2, 3), (2,), (2, 2, 2)], ids=["rect", "vector", "3d"])
     def test_system_matrix_must_be_square(self, shape):
