@@ -10,6 +10,7 @@ rows it produced.
 from __future__ import annotations
 
 import json
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -475,5 +476,12 @@ def run_scenario(cfg: dict, outdir) -> dict:
     scenario = SCENARIOS[name]
     resolved = resolve_config(scenario.defaults, cfg, name)
     outdir = Path(outdir)
+    made = [d for d in (outdir, *outdir.parents) if not d.exists()]  # deepest first
     outdir.mkdir(parents=True, exist_ok=True)
-    return scenario.runner(resolved, outdir)
+    try:
+        return scenario.runner(resolved, outdir)
+    except ConfigError:
+        # a rejected configuration leaves no directory of its own behind
+        if made:
+            shutil.rmtree(made[-1])
+        raise

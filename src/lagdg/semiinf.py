@@ -121,6 +121,11 @@ class LaguerreModalOperator:
     which is built only then, so an undamped operator takes any M >= 0.
     Boundary data g(t) enters through A+ at the local origin; the outgoing
     trace feeds back through A-.
+
+    rhs applies an undamped operator without K: T c is cumsum(c) - c/2
+    per component, then -beta a mixes the components, O(d M) in place of
+    O(d^2 M^2).  A damped operator applies the dense K, because the
+    reaction term fills it.
     """
 
     def __init__(self, sys: HyperbolicSystem, spec: BasisSpec, damping: SigmoidDamping | None = None):
@@ -129,11 +134,13 @@ class LaguerreModalOperator:
         self.spec = spec
         beta, M = spec.beta, spec.M
         self.a_plus, self.a_minus = flux_split(sys.a, sys.eig)
+        self._minus_beta_a = -beta * sys.a
+        self._damped = damping is not None
 
         T = np.tril(np.ones((M + 1, M + 1)), -1)  # advective mode coupling: strictly
         np.fill_diagonal(T, 0.5)                  # lower ones, 1/2 on the diagonal
-        K = np.kron(-beta * sys.a, T)
-        if damping is not None:
+        K = np.kron(self._minus_beta_a, T)
+        if self._damped:
             # sum_n w_n (-gamma(z_n)) Lhat_i(z_n) Lhat_j(z_n), the same on every component
             rule = default_rule(spec)
             nodes = rule.nodes
@@ -144,7 +151,15 @@ class LaguerreModalOperator:
 
     def rhs(self, coeffs: np.ndarray, t: float, boundary_g: np.ndarray) -> np.ndarray:
         """Time derivative of the (d, M+1) coefficient array."""
-        bc = self.a_plus @ np.asarray(boundary_g, dtype=float) + self.a_minus @ coeffs.sum(axis=1)
-        out = (self.K @ coeffs.ravel()).reshape(coeffs.shape)
+        g = np.asarray(boundary_g, dtype=float)
+        if self._damped:
+            bc = self.a_plus @ g + self.a_minus @ coeffs.sum(axis=1)
+            out = (self.K @ coeffs.ravel()).reshape(coeffs.shape)
+        else:
+            s = np.cumsum(coeffs, axis=1)
+            # every Lhat_j is 1 at the origin, so the trace is the last partial sum
+            bc = self.a_plus @ g + self.a_minus @ s[:, -1]
+            s -= 0.5 * coeffs
+            out = self._minus_beta_a @ s
         out += self.spec.beta * bc[:, None]
         return out

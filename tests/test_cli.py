@@ -152,6 +152,20 @@ class TestCliCommands:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and reason in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["existing-dir", "new-nested-dir"])
+    def test_config_error_leaves_the_output_tree_as_it_was(self, tmp_path, existing):
+        # every directory the call made goes again; one that was there stays untouched
+        out = tmp_path / "a" / "b"
+        if existing:
+            out.mkdir(parents=True)
+            (out / "keep.txt").write_text("x")
+        before = sorted(tmp_path.rglob("*"))
+        cfg = {**parse_config_file(CONFIG_DIR / "coupling_validation.cfg"), "nt_ingoing": 0}
+        with pytest.raises(ConfigError, match="nt_ingoing"):
+            run_scenario(cfg, out)
+        assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("args", [
         ["spectrum", "--form", "modal", "--basis", "functions", "--direction", "inflow",

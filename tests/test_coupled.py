@@ -25,7 +25,9 @@ from lagdg.scenarios import DGOnlyModel
 from lagdg.semiinf import (
     LaguerreModalOperator,
     SigmoidDamping,
+    default_rule,
     project as project_semi,
+    reconstruct,
     scalar_system,
     sigmoid_gamma,
 )
@@ -277,6 +279,68 @@ class TestRunSimulation:
             ref = f0(mesh.centers - 0.25)
             errs.append(np.sqrt(mesh.dz * np.sum((num - ref) ** 2)))
         assert errs[1] < errs[0] / 3.0
+
+
+class TestExactSolution:
+    """The coupled SWE solver against the closed form from rest.
+
+    With u(x, 0) = 0 and h(x, 0) = f(x) the solution is
+    h = [f(x - (U+c)t) + f(x - (U-c)t)] / 2, u = c/(2H) [f(x - (U+c)t) - f(x - (U-c)t)].
+    The left-going half leaves through the transmissive boundary at x = 0,
+    so on [0, inf) this is the exact solution, and nothing in it shares
+    code with the solver.  Set-up: L = 10 km, sigma = 1 km, h1 = 0.1,
+    CFL 0.1 on |U| + c, T = 1000 s.
+
+    Orders over nx = 125 -> 250, max |error| in h and in u (measured;
+    nx = 500 continues each of them):
+      - DG part, at the cell centres: 2.12-2.27 for p = 1, 3.00-3.01 for
+        p = 2, so the window is p + 1 - 0.1 to p + 1 + 0.4.
+      - Laguerre part, by reconstruct at the GLR nodes with z < 10 km:
+        2.99-3.04 for p = 1 and 3.00-3.26 for p = 2.  Its own error is the
+        RK3 error, third order because dt is proportional to dz; the DG
+        error reaches it only through the interface trace.  So the window
+        is p + 1 - 0.1 to 3.4.
+    The outgoing pulse uses M = 60, beta = 0.0025.  The ingoing pulse
+    starts inside the Laguerre part, where M = 60, beta = 0.0025 cannot
+    carry it: its error there stops at 5.2e-5 for every nx (measured).
+    M = 120, beta = 0.005 puts that floor far below the DG error.
+    """
+
+    CASES = {
+        "outgoing": (5000.0, 0.0, BasisSpec("functions", 0.0025, 60)),
+        "ingoing": (12000.0, 0.0, BasisSpec("functions", 0.005, 120)),
+        "outgoing-U0.3": (5000.0, 0.3, BasisSpec("functions", 0.0025, 60)),
+    }
+
+    @staticmethod
+    def _errors(p: int, nx: int, x0: float, U: float, spec: BasisSpec) -> tuple[np.ndarray, np.ndarray]:
+        """max |numerical - exact| of (h, u): on the DG cell centres, and on the
+        Laguerre part at the GLR nodes with z < 10 km."""
+        L, T = 10000.0, 1000.0
+        cfg = SWEConfig(U=U)
+        c = cfg.wave_speed
+        f = lambda x: 0.1 * np.exp(-(((np.asarray(x) - x0) / 1000.0) ** 2))
+
+        def exact(x):
+            right, left = f(x - (U + c) * T), f(x - (U - c) * T)
+            return np.array([0.5 * (right + left), c / (2.0 * cfg.H) * (right - left)])
+
+        model = CoupledModel(cfg, Mesh1D(L, nx), p, spec)
+        n_steps = int(np.ceil(T / (0.1 * model.mesh.dz / cfg.max_speed)))
+        yT = run_simulation(model.rhs, model.initial_state(f, lambda x: 0.0 * x), 0.0, T / n_steps, n_steps)
+        dg_err = np.max(np.abs(model.centers_view(yT).T - exact(model.mesh.centers)), axis=1)
+        z = default_rule(spec).nodes
+        z = z[z < 10000.0]
+        semi_err = np.max(np.abs(reconstruct(model.split(yT)[1], spec, z) - exact(L + z)), axis=1)
+        return dg_err, semi_err
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_convergence_order(self, case, p):
+        (dg1, semi1), (dg2, semi2) = (self._errors(p, nx, *self.CASES[case]) for nx in (125, 250))
+        dg_order, semi_order = np.log2(dg1 / dg2), np.log2(semi1 / semi2)
+        assert np.all((p + 0.9 < dg_order) & (dg_order < p + 1.4)), (dg1, dg2, dg_order)
+        assert np.all((p + 0.9 < semi_order) & (semi_order < 3.4)), (semi1, semi2, semi_order)
 
 
 class TestLayout:

@@ -236,6 +236,42 @@ class TestModalRhs:
         assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
+_SYSTEMS = {"u=+1": scalar_system(1.0), "u=-1": scalar_system(-1.0), "swe-U0.3": swe_system(SWEConfig(U=0.3))}
+
+
+def _dense_rhs(op: LaguerreModalOperator, q: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The right-hand side as the dense K product plus the boundary term: the
+    operator the spectra assemble."""
+    bc = op.a_plus @ g + op.a_minus @ q.sum(axis=1)
+    return (op.K @ q.ravel()).reshape(q.shape) + op.spec.beta * bc[:, None]
+
+
+class TestStructuredApply:
+    # undamped, rhs applies T as a cumulative sum and never reads K; the swe
+    # system at U = 0.3 has a non-symmetric a, so a transposed mix would show
+
+    @pytest.mark.parametrize("M", [0, 1, 14, 180])
+    @pytest.mark.parametrize("system", sorted(_SYSTEMS))
+    def test_undamped_matches_dense_operator(self, system, M):
+        sys = _SYSTEMS[system]
+        op = LaguerreModalOperator(sys, BasisSpec("functions", 0.05, M))
+        rng = np.random.default_rng(M)
+        q, g = rng.normal(size=(sys.d, M + 1)), rng.normal(size=sys.d)
+        got, expect = op.rhs(q, 0.0, g), _dense_rhs(op, q, g)
+        assert got.shape == q.shape
+        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+    @pytest.mark.parametrize("M", [1, 14, 180])
+    @pytest.mark.parametrize("system", sorted(_SYSTEMS))
+    def test_damped_applies_the_dense_operator(self, system, M):
+        # the reaction term fills K, so a damped rhs keeps the dense product bit for bit
+        sys = _SYSTEMS[system]
+        op = LaguerreModalOperator(sys, BasisSpec("functions", 0.05, M), SigmoidDamping(0.1, 0.2, 0.02))
+        rng = np.random.default_rng(M)
+        q, g = rng.normal(size=(sys.d, M + 1)), rng.normal(size=sys.d)
+        assert np.array_equal(op.rhs(q, 0.0, g), _dense_rhs(op, q, g))
+
+
 class TestStateValidation:
     def test_requires_function_basis(self):
         spec = BasisSpec("polynomials", 1.0, 3)

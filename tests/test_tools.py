@@ -96,6 +96,22 @@ def test_bench_pairs_flags_bad_runs(bad):
     assert not ok and lines[0] == "2 pairs; every run correct: False"
 
 
+def test_bench_pairs_runs_consecutive_seeds_in_alternating_order(monkeypatch, capsys):
+    calls = []
+
+    def run_once(checkout, workload, seed):
+        calls.append((str(checkout), workload, seed))
+        return _result(1.0, 1.0)
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main(["P", "C", "--workload", "w", "--pairs", "3", "--first-seed", "11"]) == 0
+    # odd seeds run the parent first, even seeds the change
+    assert calls == [("P", "w", 11), ("C", "w", 11), ("C", "w", 12), ("P", "w", 12),
+                     ("P", "w", 13), ("C", "w", 13)]
+    out = capsys.readouterr().out
+    assert out.startswith("workload w, seeds 11..13,") and "3 pairs; every run correct: True" in out
+
+
 # The benchmark rebinds lagdg functions by name; a decorator that hides a
 # public function from it (an lru_cache on build_rule, say) aborts the run.
 _HOOKS = {

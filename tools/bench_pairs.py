@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Compare two lagdg checkouts on one benchmark workload in alternating pairs.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --workload W [--pairs N]
+    python3 tools/bench_pairs.py PARENT CHANGE --workload W [--pairs N] [--first-seed F]
 
-Pair i (i = 1..N, default 10) runs ``python3 perfbench/run.py --workload W
---seed i --seconds S --trace 0`` once in each checkout, S being
-BENCHMARK.json's run_seconds; odd pairs run PARENT first, even pairs
-CHANGE first, so a drift of the host's speed does not favour one side.
+Pair i (i = F..F+N-1; N defaults to 10, F to 1) runs ``python3
+perfbench/run.py --workload W --seed i --seconds S --trace 0`` once in each
+checkout, S being BENCHMARK.json's run_seconds; odd seeds run PARENT first,
+even seeds CHANGE first, so a drift of the host's speed does not favour one
+side.  A later --first-seed re-checks a claim on seeds not used while the
+change was written.
 For every end-to-end metric that BENCHMARK.json lists, it prints the
 median [q1, q3] of each side and the pairs that CHANGE won, judged by the
 metric's "better".  It reads BENCHMARK.json and perfbench/ of its own
@@ -71,19 +73,21 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--first-seed", type=int, default=1)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    seeds = range(args.first_seed, args.first_seed + args.pairs)
 
     pairs = []
-    for seed in range(1, args.pairs + 1):
+    for i, seed in enumerate(seeds, 1):
         result = [None, None]
         for side in ((0, 1) if seed % 2 else (1, 0)):
             result[side] = run_once((args.parent, args.change)[side], args.workload, seed)
         pairs.append(tuple(result))
-        print(f"pair {seed}/{args.pairs} done", file=sys.stderr, flush=True)
+        print(f"pair {i}/{args.pairs} done", file=sys.stderr, flush=True)
     lines, ok = summarize(pairs, BENCHMARK["end_to_end"])
-    print(f"workload {args.workload}, seeds 1..{args.pairs}, {BENCHMARK['run_seconds']} s per run")
+    print(f"workload {args.workload}, seeds {seeds[0]}..{seeds[-1]}, {BENCHMARK['run_seconds']} s per run")
     print("\n".join(lines))
     return 0 if ok else 1
 

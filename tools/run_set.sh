@@ -16,8 +16,9 @@
 # a minute; all three write snapshots.
 # The checkout's own src/ is used, with BLAS threads pinned to 1.
 # For speed, tools/bench_pairs.py PARENT CHANGE --workload W [--pairs N]
-# runs the benchmark in both checkouts in alternating pairs and prints
-# each end-to-end metric's medians, quartiles and wins.
+# [--first-seed F] runs the benchmark in both checkouts in alternating pairs
+# on seeds F..F+N-1 and prints each end-to-end metric's medians, quartiles
+# and wins.
 set -eu
 if [ $# -ne 1 ]; then
     echo "usage: $0 OUTDIR" >&2
