@@ -476,12 +476,33 @@ def run_scenario(cfg: dict, outdir) -> dict:
     scenario = SCENARIOS[name]
     resolved = resolve_config(scenario.defaults, cfg, name)
     outdir = Path(outdir)
-    made = [d for d in (outdir, *outdir.parents) if not d.exists()]  # deepest first
-    outdir.mkdir(parents=True, exist_ok=True)
+    made = _make_dirs(outdir)
     try:
         return scenario.runner(resolved, outdir)
     except ConfigError:
         # a rejected configuration leaves no directory of its own behind
-        if made:
-            shutil.rmtree(made[-1])
+        if made is not None:
+            shutil.rmtree(made)
         raise
+
+
+def _make_dirs(path: Path) -> Path | None:
+    """``path.mkdir(parents=True, exist_ok=True)`` that returns the top-most
+    directory it created, or None if ``path`` was already a directory.
+
+    It makes the same system calls as ``Path.mkdir``: one ``mkdir`` when
+    the parent exists, and a walk up only when it does not.
+    """
+    try:
+        path.mkdir()
+    except FileExistsError:
+        if not path.is_dir():
+            raise
+        return None
+    except FileNotFoundError:
+        if path.parent == path:
+            raise
+        top = _make_dirs(path.parent)
+        path.mkdir(exist_ok=True)
+        return path if top is None else top
+    return path
