@@ -90,10 +90,10 @@ def _modal_operator(variant: SchemeVariant, beta: float, M: int, u: float) -> Se
     n = M + 1
     ones = np.ones(n)
     if variant.basis_kind == LAGUERRE_FUNCTIONS:
-        # the scalar case of the coupled solver's Laguerre operator: K, plus
-        # the outgoing trace sum fed back into every mode
+        # the scalar case of the coupled solver's Laguerre operator, whose K
+        # already feeds the outgoing trace back into every mode for u < 0
         op = LaguerreModalOperator(scalar_system(u), BasisSpec(LAGUERRE_FUNCTIONS, beta, M))
-        A = op.K if variant.direction == INFLOW else op.K + beta * op.a_minus[0, 0]
+        A = op.K
         g = beta * op.a_plus[0, 0] * variant.q_left * ones
         exact = np.full(n, -0.5 * beta * abs(u), dtype=complex)
     else:

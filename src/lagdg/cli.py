@@ -87,7 +87,7 @@ def main(argv=None) -> int:
     except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK

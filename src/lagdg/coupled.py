@@ -66,8 +66,9 @@ def rk3_step(rhs: Callable, y: np.ndarray, t: float, dt: float) -> np.ndarray:
         raise ValueError("dt must be positive")
     k1 = rhs(t, y)
     k2 = rhs(t + dt, y + dt * k1)
-    k3 = rhs(t + 0.5 * dt, y + 0.25 * dt * (k1 + k2))
-    out = y + (dt / 6.0) * (k1 + k2 + 4.0 * k3)
+    s = k1 + k2  # shared by the third stage and the update, in the same order
+    k3 = rhs(t + 0.5 * dt, y + 0.25 * dt * s)
+    out = y + (dt / 6.0) * (s + 4.0 * k3)
     if not np.all(np.isfinite(out)):
         bad = [name for name, k in (("K1", k1), ("K2", k2), ("K3", k3)) if not np.all(np.isfinite(k))]
         raise RuntimeError(f"time step produced non-finite values at t={t} (stages: {bad or ['update']})")

@@ -55,8 +55,12 @@ def write_manifest(outdir: Path, resolved: dict) -> None:
 
 def parse_config_file(path) -> dict:
     """Flat ``key = value`` file; values parse as JSON with string fallback."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
     cfg = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -86,16 +90,42 @@ def _finite(value) -> bool:
     return not isinstance(value, float) or bool(np.isfinite(value))
 
 
+def _integral(value) -> bool:
+    """True for a number without a fractional part."""
+    return _kind(value) == "number" and float(value).is_integer()
+
+
+def _read_as_int(key: str) -> bool:
+    """Keys the runners read through int(...); a list key's elements are."""
+    return key in ("M", "nx", "p", "semi_nodes", "nx_list") or key.startswith("nt_")
+
+
 def resolve_config(defaults: dict, cfg: dict, scenario: str) -> dict:
+    """Defaults updated by cfg, each value checked against its default's
+    kind: a list takes elements of its default's first element's kind, a
+    None default takes None or a number, and an int-read key takes whole
+    numbers only."""
     unknown = [k for k in cfg if k not in defaults and k != "scenario"]
     if unknown:
         raise ConfigError(f"unknown keys for scenario {scenario!r}: {unknown}")
     for k, v in cfg.items():
+        if k not in defaults:
+            continue
+        where = f"key {k!r} of scenario {scenario!r}"
         if not _finite(v):
-            raise ConfigError(f"key {k!r} of scenario {scenario!r} must be finite; got {v!r}")
-        kind = _kind(defaults[k][0]) if isinstance(defaults.get(k), list) else None
-        if kind and not (isinstance(v, list) and all(_kind(x) == kind for x in v)):
-            raise ConfigError(f"key {k!r} of scenario {scenario!r} takes a list, each element a {kind}; got {v!r}")
+            raise ConfigError(f"{where} must be finite; got {v!r}")
+        default = defaults[k]
+        if isinstance(default, list):
+            kind = _kind(default[0])
+            if not (isinstance(v, list) and all(_kind(x) == kind for x in v)):
+                raise ConfigError(f"{where} takes a list, each element a {kind}; got {v!r}")
+        elif default is None:
+            if v is not None and _kind(v) != "number":
+                raise ConfigError(f"{where} takes a number or null; got {v!r}")
+        elif _kind(v) != _kind(default):
+            raise ConfigError(f"{where} takes a {_kind(default)}; got {v!r}")
+        if _read_as_int(k) and not all(_integral(x) for x in (v if isinstance(v, list) else [v])):
+            raise ConfigError(f"{where} takes whole numbers; got {v!r}")
     return {**defaults, **{k: v for k, v in cfg.items() if k in defaults}, "scenario": scenario}
 
 
@@ -401,9 +431,11 @@ def _absorption_row(cfg: dict, row, outdir: Path) -> dict:
 
 
 def run_gaussian_absorption(cfg: dict, outdir: Path) -> dict:
-    bad = [r for r in cfg["rows"] if len(r) != 4 or any(_kind(x) != "number" for x in r) or int(r[2]) < 1]
+    bad = [r for r in cfg["rows"] if len(r) != 4 or any(_kind(x) != "number" for x in r)
+           or not all(_integral(x) for x in r[:3]) or int(r[2]) < 1]
     if bad:
-        raise ConfigError(f"rows {bad} are not [semi_nodes, nx, steps >= 1, beta]")
+        raise ConfigError(f"rows {bad} are not [semi_nodes, nx, steps >= 1, beta] with whole "
+                          f"semi_nodes, nx and steps")
     rows = _map_rows(lambda r: _absorption_row(cfg, r, outdir), list(cfg["rows"]))
     return _write_results(outdir, cfg, ["semi_nodes", "nx", "steps", "beta", "resid_h", "resid_u",
                                         "e_en", "rho"], rows)
@@ -476,7 +508,10 @@ def run_scenario(cfg: dict, outdir) -> dict:
     scenario = SCENARIOS[name]
     resolved = resolve_config(scenario.defaults, cfg, name)
     outdir = Path(outdir)
-    made = _make_dirs(outdir)
+    try:
+        made = _make_dirs(outdir)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {outdir}: {exc.strerror or exc}") from exc
     try:
         return scenario.runner(resolved, outdir)
     except ConfigError:

@@ -114,18 +114,19 @@ def reconstruct(coeffs: np.ndarray, spec: BasisSpec, z_points) -> np.ndarray:
 class LaguerreModalOperator:
     """Prepared right-hand side of the modal semi-discretization.
 
-    Builds the interior operator once as one (d(M+1), d(M+1)) matrix K over
-    the flattened coefficients: -beta a (x) T, plus the GLR-quadrature
+    Builds the whole linear operator once as one (d(M+1), d(M+1)) matrix K
+    over the flattened coefficients: -beta a (x) T, the outgoing trace
+    fed back into every mode, beta A- (x) 11^T, and the GLR-quadrature
     projection of the Rayleigh reaction -gamma(z) q when damping is set.
     The damping layer's length L0 is the last node of spec's GLR rule,
     which is built only then, so an undamped operator takes any M >= 0.
-    Boundary data g(t) enters through A+ at the local origin; the outgoing
-    trace feeds back through A-.
+    Boundary data g(t) enters through beta A+ at the local origin, so the
+    right-hand side is K c + beta A+ g.
 
     rhs applies an undamped operator without K: T c is cumsum(c) - c/2
-    per component, then -beta a mixes the components, O(d M) in place of
-    O(d^2 M^2).  A damped operator applies the dense K, because the
-    reaction term fills it.
+    per component, then -beta a mixes the components, and the trace is
+    the last partial sum, O(d M) in place of O(d^2 M^2).  A damped
+    operator applies the dense K, because the reaction term fills it.
     """
 
     def __init__(self, sys: HyperbolicSystem, spec: BasisSpec, damping: SigmoidDamping | None = None):
@@ -135,11 +136,16 @@ class LaguerreModalOperator:
         beta, M = spec.beta, spec.M
         self.a_plus, self.a_minus = flux_split(sys.a, sys.eig)
         self._minus_beta_a = -beta * sys.a
+        self._beta_a_plus = beta * self.a_plus
         self._damped = damping is not None
 
         T = np.tril(np.ones((M + 1, M + 1)), -1)  # advective mode coupling: strictly
         np.fill_diagonal(T, 0.5)                  # lower ones, 1/2 on the diagonal
         K = np.kron(self._minus_beta_a, T)
+        if np.any(self.a_minus):
+            # beta A- (x) 11^T, added in place; an operator without an outgoing
+            # characteristic skips it, which keeps the -0.0 entries of K
+            K.reshape(sys.d, M + 1, sys.d, M + 1)[...] += (beta * self.a_minus)[:, None, :, None]
         if self._damped:
             # sum_n w_n (-gamma(z_n)) Lhat_i(z_n) Lhat_j(z_n), the same on every component
             rule = default_rule(spec)
@@ -153,13 +159,13 @@ class LaguerreModalOperator:
         """Time derivative of the (d, M+1) coefficient array."""
         g = np.asarray(boundary_g, dtype=float)
         if self._damped:
-            bc = self.a_plus @ g + self.a_minus @ coeffs.sum(axis=1)
             out = (self.K @ coeffs.ravel()).reshape(coeffs.shape)
-        else:
-            s = np.cumsum(coeffs, axis=1)
-            # every Lhat_j is 1 at the origin, so the trace is the last partial sum
-            bc = self.a_plus @ g + self.a_minus @ s[:, -1]
-            s -= 0.5 * coeffs
-            out = self._minus_beta_a @ s
+            out += (self._beta_a_plus @ g)[:, None]
+            return out
+        s = np.cumsum(coeffs, axis=1)
+        # every Lhat_j is 1 at the origin, so the trace is the last partial sum
+        bc = self.a_plus @ g + self.a_minus @ s[:, -1]
+        s -= 0.5 * coeffs
+        out = self._minus_beta_a @ s
         out += self.spec.beta * bc[:, None]
         return out

@@ -55,6 +55,18 @@ class TestModalVariants:
         if M == 0:
             assert np.array_equal(op.A, [[-beta * abs(u) / 2]])
 
+    @pytest.mark.parametrize("M", [0, 10, 25, 50, 180])
+    @pytest.mark.parametrize("direction,u", [(INFLOW, 1.0), (OUTFLOW, -1.0)])
+    def test_function_matrix_is_the_laguerre_operator(self, direction, u, M):
+        # the spectra assemble the time stepper's K, outgoing trace feedback included
+        beta = 0.5
+        op = assemble(SchemeVariant("modal", "functions", direction=direction), beta, M, u)
+        K = LaguerreModalOperator(scalar_system(u), BasisSpec("functions", beta, M)).K
+        assert np.array_equal(op.A, K)
+        if direction == INFLOW:
+            # no outgoing characteristic, so nothing is added: -beta u * 0 stays -0.0
+            assert np.all(np.signbit(K[np.triu_indices(M + 1, 1)]))
+
     def test_poly_outflow_strictly_upper(self):
         op = assemble(SchemeVariant("modal", "polynomials", direction=OUTFLOW), 1.0, 2, -1.0)
         assert op.A == pytest.approx(-np.triu(np.ones((3, 3)), 1))

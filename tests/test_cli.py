@@ -134,6 +134,45 @@ class TestCliCommands:
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "o" / "results.csv").exists()
 
+    @pytest.mark.parametrize("config, key, value", [
+        ("coupling_validation", "L", '"abc"'),
+        ("absorption_main", "H", "null"),
+        ("rule_example", "M", "[3]"),
+        ("rule_example", "M", "1.5"),
+        ("rule_example", "M", "true"),
+        ("rule_example", "nodes", "3"),
+        ("spectrum_modal_functions_outflow", "u", '"fast"'),
+        ("wavetrain_15nodes", "write_snapshots", "1"),
+        ("wavetrain_15nodes", "nx", "600.5"),
+        ("convergence_dg", "p", "1.5"),
+        ("convergence_dg", "nx_list", "[50, 100.5]"),
+        ("coupling_validation", "semi_nodes", "180.5"),
+        ("coupling_validation", "nt_ingoing", "2.5"),
+        ("absorption_main", "rows", "[[40, 400.5, 600, 0.0035714285714285713]]"),
+    ])
+    def test_mistyped_scalar_keys_are_config_errors(self, tmp_path, capsys, config, key, value):
+        # each value has the wrong kind for its key, or a fraction where the code
+        # reads an int: exit 2 naming the key, before any output is written
+        rc = main(["run", "--config", str(CONFIG_DIR / f"{config}.cfg"), "--override", f"{key}={value}",
+                   "--output", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert ("rows [[40, 400.5" if key == "rows" else f"key {key!r}") in err
+        assert not (tmp_path / "o").exists()
+
+    def test_whole_float_order_resolves(self, tmp_path):
+        rc = main(["run", "--config", str(CONFIG_DIR / "rule_example.cfg"), "--override", "M=3.0",
+                   "--output", str(tmp_path)])
+        assert rc == 0
+        assert len((tmp_path / "rule.csv").read_text().splitlines()) == 1 + 4
+
+    @pytest.mark.parametrize("u", ["null", "-2", "-2.5"])
+    def test_optional_speed_takes_null_or_a_number(self, tmp_path, u):
+        rc = main(["run", "--config", str(CONFIG_DIR / "spectrum_modal_functions_outflow.cfg"),
+                   "--override", f"u={u}", "--override", "M=3", "--output", str(tmp_path)])
+        assert rc == 0
+
     @pytest.mark.parametrize("config, overrides, reason", [
         ("wavetrain_15nodes", ["cfl=0"], "positive T and cfl"),
         ("wavetrain_15nodes", ["T=0"], "positive T and cfl"),
@@ -189,6 +228,25 @@ class TestCliCommands:
         rc = main(["run", "--config", str(tmp_path / "missing.cfg"),
                    "--output", str(tmp_path / "o")])
         assert rc == 2
+
+    @pytest.mark.parametrize("case", ["config-is-a-directory", "output-is-a-file", "output-under-a-file"])
+    def test_bad_paths_exit_2_without_a_traceback(self, tmp_path, case):
+        # the path error becomes a configuration error naming the path; the file stays as it was
+        file = tmp_path / "FILE"
+        file.write_text("keep\n")
+        args, path = {
+            "config-is-a-directory": (["run", "--config", str(CONFIG_DIR), "--output", str(tmp_path / "o")],
+                                      CONFIG_DIR),
+            "output-is-a-file": (["rule", "--M", "3", "--output", str(file)], file),
+            "output-under-a-file": (["rule", "--M", "3", "--output", str(file / "sub")], file / "sub"),
+        }[case]
+        proc = subprocess.run([sys.executable, "-m", "lagdg.cli", *args], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("configuration error") and str(path) in proc.stderr
+        assert file.read_text() == "keep\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["FILE"]
 
     def test_numerical_failure_exit_code(self, tmp_path, recwarn):
         # deliberately unstable time step: the solver aborts with the

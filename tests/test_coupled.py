@@ -117,6 +117,17 @@ class TestRK3:
         for z in np.linspace(-2.51, 0.0, 200):
             assert abs(R(z)) <= 1.0 + 1e-12
 
+    def test_matches_the_stage_formula_bit_for_bit(self):
+        # the shared k1 + k2 keeps the order of the additions
+        rng = np.random.default_rng(3)
+        A, b = rng.normal(size=(9, 9)), rng.normal(size=9)
+        rhs = lambda t, q: A @ q + t * b
+        y, t, dt = rng.normal(size=9), 0.3, 0.07
+        k1 = rhs(t, y)
+        k2 = rhs(t + dt, y + dt * k1)
+        k3 = rhs(t + 0.5 * dt, y + 0.25 * dt * (k1 + k2))
+        assert np.array_equal(rk3_step(rhs, y, t, dt), y + (dt / 6.0) * (k1 + k2 + 4.0 * k3))
+
     def test_blowup_detected(self):
         with pytest.raises(RuntimeError):
             rk3_step(lambda t, q: q * np.inf, np.array([1.0]), 0.0, 0.1)

@@ -27,6 +27,7 @@ from lagdg.semiinf import (
     SigmoidDamping,
     default_rule,
     flux_split,
+    scalar_system,
     sigmoid_gamma,
 )
 
@@ -162,6 +163,28 @@ def test_modal_rhs_matches_reference(case):
     g = rng.normal(size=2)
     assert_close(LaguerreModalOperator(sys, spec, damping).rhs(q, 0.0, g),
                  reference_modal_rhs(sys, spec, q, g, damping))
+
+
+MODAL_SYSTEMS = {"u=+1": scalar_system(1.0), "u=-1": scalar_system(-1.0),
+                 "swe-U0.3": swe_system(SWEConfig(U=0.3))}
+LAYER = SigmoidDamping(dgamma=0.3, alpha=0.3, sigma_over_l0=0.05)
+
+
+# a damped operator builds a GLR rule, which needs M >= 1
+@pytest.mark.parametrize("M, damping", [(M, d) for M in (0, 1, 14, 39) for d in (None, LAYER) if M or d is None],
+                         ids=lambda x: f"M{x}" if isinstance(x, int) else ("damped" if x else "undamped"))
+@pytest.mark.parametrize("system", sorted(MODAL_SYSTEMS))
+def test_folded_operator_matches_reference(system, M, damping):
+    # K holds the outgoing trace feedback as well, so K c + beta A+ g is the
+    # whole right-hand side, and rhs applies it
+    sys = MODAL_SYSTEMS[system]
+    spec = BasisSpec("functions", 0.05, M)
+    op = LaguerreModalOperator(sys, spec, damping)
+    rng = np.random.default_rng(M)
+    q, g = rng.normal(size=(sys.d, M + 1)), rng.normal(size=sys.d)
+    expect = reference_modal_rhs(sys, spec, q, g, damping)
+    assert_close((op.K @ q.ravel()).reshape(q.shape) + (spec.beta * op.a_plus @ g)[:, None], expect)
+    assert_close(op.rhs(q, 0.0, g), expect)
 
 
 @pytest.mark.parametrize("p", [0, 1, 3])

@@ -240,10 +240,9 @@ _SYSTEMS = {"u=+1": scalar_system(1.0), "u=-1": scalar_system(-1.0), "swe-U0.3":
 
 
 def _dense_rhs(op: LaguerreModalOperator, q: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The right-hand side as the dense K product plus the boundary term: the
-    operator the spectra assemble."""
-    bc = op.a_plus @ g + op.a_minus @ q.sum(axis=1)
-    return (op.K @ q.ravel()).reshape(q.shape) + op.spec.beta * bc[:, None]
+    """The right-hand side as the dense K product plus the inflow term
+    beta A+ g: the operator the spectra assemble."""
+    return (op.K @ q.ravel()).reshape(q.shape) + (op.spec.beta * op.a_plus @ g)[:, None]
 
 
 class TestStructuredApply:
@@ -270,6 +269,17 @@ class TestStructuredApply:
         rng = np.random.default_rng(M)
         q, g = rng.normal(size=(sys.d, M + 1)), rng.normal(size=sys.d)
         assert np.array_equal(op.rhs(q, 0.0, g), _dense_rhs(op, q, g))
+
+    @pytest.mark.parametrize("system", sorted(_SYSTEMS))
+    def test_damped_rhs_reads_no_outgoing_feedback(self, system):
+        # K holds beta A- (x) 11^T, so a damped rhs never reads A- or the trace
+        sys = _SYSTEMS[system]
+        op = LaguerreModalOperator(sys, BasisSpec("functions", 0.05, 14), SigmoidDamping(0.1, 0.2, 0.02))
+        rng = np.random.default_rng(4)
+        q, g = rng.normal(size=(sys.d, 15)), rng.normal(size=sys.d)
+        expect = op.rhs(q, 0.0, g)
+        op.a_minus = np.full_like(op.a_minus, np.nan)
+        assert np.array_equal(op.rhs(q, 0.0, g), expect)
 
 
 class TestStateValidation:

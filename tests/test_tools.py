@@ -46,6 +46,19 @@ def test_differences_fail(tmp_path, b_kwargs):
     assert run_set_diff.main([str(_tree(tmp_path / "a")), str(_tree(tmp_path / "b", **b_kwargs))]) == 1
 
 
+@pytest.mark.parametrize("column, mark, others", [("resid_h", "MOVED (rounding column)", 0), ("h", "MOVED", 1)])
+def test_moved_rounding_columns_are_marked_and_others_counted(tmp_path, capsys, column, mark, others):
+    # the exit status stays 1; the mark and the count say whether only rounding columns moved
+    for side, value in (("a", "0.125"), ("b", "0.1251")):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "results.csv").write_text(f"{column},e_en\n{value},1e-28\n")
+    assert run_set_diff.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith(f"  {column}: max|d| 1.000e-04") and lines[1].endswith(f"  {mark}")
+    assert lines[2] == "  e_en: max|d| 0.000e+00  max|v| 1.000e-28"
+    assert lines[-1] == f"{others} moved columns outside the rounding columns"
+
+
 def test_run_set_runs_every_shipped_config():
     # byte identity of the run set only covers the configs the script runs
     root = Path(__file__).resolve().parents[1]

@@ -11,6 +11,11 @@ reported on one line; a differing file that is neither CSV nor JSON
 counts as a difference.  Cells that are not finite numbers (strings,
 booleans, null, nan, inf) must match as text.
 
+A moved column that the benchmark also compares with an absolute
+tolerance (ROUNDING_COLUMNS in perfbench/workloads.py: the columns at
+rounding level and the error columns) is marked "MOVED (rounding column)",
+and the last line counts the moved columns outside that set.
+
 Exit status 1 when the trees hold different sets of files, when a
 non-numeric cell or a file's shape differs, or when a column moves by
 more than RTOL times its own scale; 0 otherwise.
@@ -24,6 +29,10 @@ import json
 import math
 import sys
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from workloads import ROUNDING_COLUMNS  # noqa: E402
 
 RTOL = 1e-10
 
@@ -65,17 +74,18 @@ def _columns(path: Path) -> dict[str, list]:
     return {name: [r[j] for r in body] for j, name in enumerate(header)}
 
 
-def compare_file(name: str, a: Path, b: Path) -> tuple[list[str], bool]:
-    """(report lines, within tolerance) for one file present in both trees."""
+def compare_file(name: str, a: Path, b: Path) -> tuple[list[str], bool, list[str]]:
+    """(report lines, within tolerance, moved columns) for one file present
+    in both trees."""
     if a.read_bytes() == b.read_bytes():
-        return [f"{name}: identical"], True
+        return [f"{name}: identical"], True, []
     try:
         cols_a, cols_b = _columns(a), _columns(b)
     except (ValueError, IndexError) as exc:
-        return [f"{name}: cannot parse ({exc}) and the bytes differ"], False
+        return [f"{name}: cannot parse ({exc}) and the bytes differ"], False, []
     if list(cols_a) != list(cols_b) or any(len(cols_a[k]) != len(cols_b[k]) for k in cols_a):
-        return [f"{name}: columns or row counts differ"], False
-    lines, ok = [name], True
+        return [f"{name}: columns or row counts differ"], False, []
+    lines, ok, moved_cols = [name], True, []
     for col in cols_a:
         delta, scale, numeric = 0.0, 0.0, False
         for i, (x, y) in enumerate(zip(cols_a[col], cols_b[col])):
@@ -91,9 +101,12 @@ def compare_file(name: str, a: Path, b: Path) -> tuple[list[str], bool]:
         if numeric:
             moved = delta > RTOL * scale
             ok = ok and not moved
-            lines.append(f"  {col or '(values)'}: max|d| {delta:.3e}  max|v| {scale:.3e}"
-                         + ("  MOVED" if moved else ""))
-    return lines, ok
+            mark = ""
+            if moved:
+                moved_cols.append(col)
+                mark = "  MOVED (rounding column)" if col in ROUNDING_COLUMNS else "  MOVED"
+            lines.append(f"  {col or '(values)'}: max|d| {delta:.3e}  max|v| {scale:.3e}{mark}")
+    return lines, ok, moved_cols
 
 
 def main(argv=None) -> int:
@@ -106,12 +119,15 @@ def main(argv=None) -> int:
     ok = files_a == files_b
     for name in sorted(files_a ^ files_b):
         print(f"{name}: only in {args.a if name in files_a else args.b}")
+    other = 0
     for name in sorted(files_a & files_b):
-        lines, same = compare_file(name, args.a / name, args.b / name)
+        lines, same, moved = compare_file(name, args.a / name, args.b / name)
         print("\n".join(lines))
         ok = ok and same
+        other += sum(col not in ROUNDING_COLUMNS for col in moved)
     print(f"{'within' if ok else 'OUTSIDE'} {RTOL:g} of each column's scale: "
           f"{len(files_a & files_b)} files compared")
+    print(f"{other} moved columns outside the rounding columns")
     return 0 if ok else 1
 
 
