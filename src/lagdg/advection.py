@@ -213,7 +213,11 @@ def _nodal_operator(variant: SchemeVariant, beta: float, M: int, u: float) -> Se
 
 
 def assemble(variant: SchemeVariant, beta: float, M: int, u: float) -> SemiDiscreteOperator:
-    """Assemble the (A, g) pair of a variant for advection speed u."""
+    """Assemble the (A, g) pair of a variant for advection speed u.
+
+    An operator with a non-finite entry is a numerical failure
+    (RuntimeError), never a result.
+    """
     if not np.isfinite(u):
         raise ValueError(f"u must be finite, got {u}")
     if u == 0:
@@ -230,9 +234,17 @@ def assemble(variant: SchemeVariant, beta: float, M: int, u: float) -> SemiDiscr
         raise ValueError(f"M={M} exceeds the supported maximum {_MAX_M}")
 
     if variant.form == FORM_MODAL:
-        return _modal_operator(variant, beta, M, u)
-    if variant.form == FORM_STRONG:
+        op = _modal_operator(variant, beta, M, u)
+    elif variant.form == FORM_STRONG:
         if variant.node_kind == NODES_GL:
             raise ValueError("strong collocation requires GLR nodes (boundary conditions need a boundary node)")
-        return _strong_operator(variant, beta, M, u)
-    return _nodal_operator(variant, beta, M, u)
+        op = _strong_operator(variant, beta, M, u)
+    else:
+        op = _nodal_operator(variant, beta, M, u)
+    # the weight ratios of the nodal polynomial forms overflow at large M
+    if not (np.all(np.isfinite(op.A)) and np.all(np.isfinite(op.g))):
+        raise RuntimeError(
+            f"{variant.form}/{variant.basis_kind}/{variant.node_kind}/{variant.direction} operator "
+            f"has non-finite entries at beta={beta}, M={M}"
+        )
+    return op

@@ -2,13 +2,14 @@
 
 Each element carries a normalized Legendre basis phi_l = sqrt(2l+1) P_l
 mapped to the element, so element mass matrices are dz * I and no linear
-solve appears in the update.  Interfaces use the characteristic upwind
-flux F(qm, qp) = A+ qm + A- qp; the same closure handles the physical
-boundaries through ghost states (Dirichlet data on incoming
-characteristics, interior trace on outgoing ones).  The left closure is
-a linear map built once per operator, and so are the maps that take an
-element's coefficients to its edge trace and lift a boundary flux back
-onto the coefficients.
+solve appears in the update; its values at the quadrature points and at
+the midpoint come from one Legendre table over all degrees.  Interfaces
+use the characteristic upwind flux F(qm, qp) = A+ qm + A- qp; the same
+closure handles the physical boundaries through ghost states (Dirichlet
+data on incoming characteristics, interior trace on outgoing ones).
+The left closure is a linear map built once per operator, and so are
+the maps that take an element's coefficients to its edge trace and lift
+a boundary flux back onto the coefficients.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import legendre_eval
+from .basis import legendre_table
 from .quadrature import _golub_welsch
 from .semiinf import HyperbolicSystem, flux_split
 
@@ -51,7 +52,7 @@ def edge_values(p: int) -> tuple[np.ndarray, np.ndarray]:
 
 def center_values(p: int) -> np.ndarray:
     """Basis values at the element midpoint."""
-    return np.array([np.sqrt(2 * l + 1) * legendre_eval(l, 0.0) for l in range(p + 1)])
+    return np.sqrt(2 * np.arange(p + 1) + 1.0) * legendre_table(p, 0.0)
 
 
 def stiffness_coupling(p: int) -> np.ndarray:
@@ -152,6 +153,8 @@ class DGOperator:
     """
 
     def __init__(self, sys: HyperbolicSystem, mesh: Mesh1D, p: int, left_bc=None, left_mask=None):
+        if p < 0:
+            raise ValueError(f"DG order p must be non-negative, got p={p}")
         if (left_bc is None) != (left_mask is None):
             raise ValueError("left_bc and left_mask must be given together")
         self.sys = sys
@@ -215,7 +218,7 @@ def project_dg(component_funcs, mesh: Mesh1D, p: int) -> np.ndarray:
     """Elementwise L2 projection with a (p+2)-point Gauss-Legendre rule;
     coefficients of shape (n_elements, d, p+1)."""
     xi, wq = gauss_legendre(p + 2)
-    phi = np.array([[np.sqrt(2 * l + 1) * legendre_eval(l, x) for x in xi] for l in range(p + 1)])
+    phi = np.sqrt(2 * np.arange(p + 1) + 1.0)[:, None] * legendre_table(p, xi)
     zq = mesh.centers[:, None] + 0.5 * mesh.dz * xi[None, :]
     fvals = np.array([np.asarray(f(zq), dtype=float) for f in component_funcs])  # (d, n, g)
     return 0.5 * np.einsum("kmg,ig,g->mki", fvals, phi, wq)

@@ -18,8 +18,9 @@ Two weight conventions are stored, matching the two basis families:
   never by exponentiating the (possibly underflowed) classical weight.
 
 Also provided: the Lagrange cardinal bases attached to a rule (with the
-exp(-beta z / 2) envelope for the function family) and their
-differentiation matrices.
+exp(-beta z / 2) envelope for the function family), as their values at
+the origin and their differentiation matrices, each one array op over
+all nodes.
 """
 
 from __future__ import annotations
@@ -229,27 +230,22 @@ def build_diff_matrix(rule: QuadratureRule) -> np.ndarray:
     return d
 
 
-def lagrange_cardinal_eval(rule: QuadratureRule, j: int, z: float) -> float:
-    """Cardinal basis member j of the rule evaluated at z >= 0.
-
-    Polynomial family: the plain Lagrange product.  Function family: the
-    same product times exp(-beta (z - z_j) / 2), so the cardinal property
-    at the nodes is preserved.
-    """
-    if not 0 <= j <= rule.M:
-        raise IndexError(f"cardinal index {j} outside 0..{rule.M}")
-    if z < 0:
-        raise ValueError("z must be non-negative")
-    nodes = rule.nodes
-    val = 1.0
-    for m in range(rule.n):
-        if m != j:
-            val *= (z - nodes[m]) / (nodes[j] - nodes[m])
-    if rule.basis_kind == LAGUERRE_FUNCTIONS:
-        val *= np.exp(-0.5 * rule.beta * (z - nodes[j]))
-    return float(val)
-
-
 def cardinal_values_at_origin(rule: QuadratureRule) -> np.ndarray:
-    """Vector of all cardinal basis values at z = 0."""
-    return np.array([lagrange_cardinal_eval(rule, j, 0.0) for j in range(rule.n)])
+    """All M+1 cardinal basis values at z = 0.
+
+    Row j of the ratio matrix holds the factors (0 - z_m) / (z_j - z_m),
+    1 at m = j; its running product along m is the Lagrange product taken
+    one factor at a time, the order of the scalar loop (np.prod leaves the
+    order to numpy).  The function family multiplies in the envelope
+    exp(-beta (0 - z_j) / 2).  0 - z, not -z, keeps the GLR origin
+    node's factor +0.
+    """
+    z = rule.nodes
+    diff = z[:, None] - z[None, :]
+    np.fill_diagonal(diff, 1.0)
+    ratio = (0.0 - z[None, :]) / diff
+    np.fill_diagonal(ratio, 1.0)
+    values = np.cumprod(ratio, axis=1)[:, -1]
+    if rule.basis_kind == LAGUERRE_FUNCTIONS:
+        values = values * np.exp(-0.5 * rule.beta * (0.0 - z))
+    return values

@@ -102,9 +102,9 @@ def _read_as_int(key: str) -> bool:
 
 def resolve_config(defaults: dict, cfg: dict, scenario: str) -> dict:
     """Defaults updated by cfg, each value checked against its default's
-    kind: a list takes elements of its default's first element's kind, a
-    None default takes None or a number, and an int-read key takes whole
-    numbers only."""
+    kind: a list takes one or more elements of its default's first
+    element's kind, a None default takes None or a number, and an
+    int-read key takes whole numbers only."""
     unknown = [k for k in cfg if k not in defaults and k != "scenario"]
     if unknown:
         raise ConfigError(f"unknown keys for scenario {scenario!r}: {unknown}")
@@ -117,8 +117,8 @@ def resolve_config(defaults: dict, cfg: dict, scenario: str) -> dict:
         default = defaults[k]
         if isinstance(default, list):
             kind = _kind(default[0])
-            if not (isinstance(v, list) and all(_kind(x) == kind for x in v)):
-                raise ConfigError(f"{where} takes a list, each element a {kind}; got {v!r}")
+            if not (isinstance(v, list) and v and all(_kind(x) == kind for x in v)):
+                raise ConfigError(f"{where} takes a non-empty list, each element a {kind}; got {v!r}")
         elif default is None:
             if v is not None and _kind(v) != "number":
                 raise ConfigError(f"{where} takes a number or null; got {v!r}")
@@ -514,8 +514,9 @@ def run_scenario(cfg: dict, outdir) -> dict:
         raise ConfigError(f"cannot make output directory {outdir}: {exc.strerror or exc}") from exc
     try:
         return scenario.runner(resolved, outdir)
-    except ConfigError:
-        # a rejected configuration leaves no directory of its own behind
+    except Exception:
+        # a failed run leaves no directory of its own behind; one that was
+        # there before the run stays as it was
         if made is not None:
             shutil.rmtree(made)
         raise

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lagdg.advection import OUTFLOW, SchemeVariant, assemble
-from lagdg.basis import BasisSpec, laguerre_fun_table, laguerre_poly_table, legendre_eval
+from lagdg.basis import BasisSpec, laguerre_fun_table, laguerre_poly_table, legendre_table
 from lagdg.dg import Mesh1D, center_values, edge_values, project_dg
 from lagdg.semiinf import LaguerreModalOperator, scalar_system
 
@@ -151,11 +151,24 @@ class TestLegendreDGBasis:
 
     def test_legendre_orthogonality(self):
         xi, w = gauss_legendre_01()
-        for p in range(9):
-            for q in range(9):
-                val = np.sum(w * legendre_eval(p, xi) * legendre_eval(q, xi))
-                expect = 2.0 / (2 * p + 1) if p == q else 0.0
-                assert val == pytest.approx(expect, abs=1e-12)
+        table = legendre_table(8, xi)
+        gram = (table * w) @ table.T
+        assert gram == pytest.approx(np.diag(2.0 / (2 * np.arange(9) + 1)), abs=1e-12)
+
+
+class TestLegendreTable:
+    @pytest.mark.parametrize("p", [0, 1, 2, 7, 20])
+    def test_against_numpy_legvander(self, p):
+        x = np.random.default_rng(p).uniform(-1.0, 1.0, size=(3, 5))
+        table = legendre_table(p, x)
+        assert table.shape == (p + 1, 3, 5)
+        expect = np.moveaxis(np.polynomial.legendre.legvander(x, p), -1, 0)
+        assert table == pytest.approx(expect, rel=1e-13, abs=1e-14)
+
+    def test_scalar_point_and_end_values(self):
+        # P_l(1) = 1 and P_l(-1) = (-1)^l exactly; a scalar x gives shape (p+1,)
+        assert legendre_table(6, 1.0).tolist() == [1.0] * 7
+        assert legendre_table(6, -1.0).tolist() == [(-1.0) ** l for l in range(7)]
 
 
 class TestBasisSpecValidation:

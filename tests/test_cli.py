@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from lagdg.cli import main
-from lagdg.scenarios import ConfigError, parse_config_file, run_scenario
+from lagdg.scenarios import SCENARIOS, ConfigError, parse_config_file, run_scenario
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO / "configs"
+LIST_KEYS = [(name, key) for name, scenario in SCENARIOS.items()
+             for key, default in scenario.defaults.items() if isinstance(default, list)]
 
 
 class TestConfigParsing:
@@ -193,18 +195,54 @@ class TestCliCommands:
         assert "configuration error" in err and reason in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("config, override, error, message", [
+        ("coupling_validation", {"nt_ingoing": 0}, ConfigError, "nt_ingoing"),
+        # SWEConfig rejects it with a plain ValueError inside the runner
+        ("absorption_main", {"H": -1}, ValueError, "reference height and gravity must be positive"),
+    ], ids=["config-error", "value-error"])
     @pytest.mark.parametrize("existing", [True, False], ids=["existing-dir", "new-nested-dir"])
-    def test_config_error_leaves_the_output_tree_as_it_was(self, tmp_path, existing):
+    def test_failed_run_leaves_the_output_tree_as_it_was(self, tmp_path, existing, config, override, error,
+                                                          message):
         # every directory the call made goes again; one that was there stays untouched
         out = tmp_path / "a" / "b"
         if existing:
             out.mkdir(parents=True)
             (out / "keep.txt").write_text("x")
         before = sorted(tmp_path.rglob("*"))
-        cfg = {**parse_config_file(CONFIG_DIR / "coupling_validation.cfg"), "nt_ingoing": 0}
-        with pytest.raises(ConfigError, match="nt_ingoing"):
-            run_scenario(cfg, out)
+        with pytest.raises(error, match=message):
+            run_scenario({**parse_config_file(CONFIG_DIR / f"{config}.cfg"), **override}, out)
         assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("command", ["operator", "spectrum"])
+    def test_non_finite_operator_is_a_numerical_failure(self, tmp_path, capsys, command):
+        # the weight ratios of the nodal polynomial GL operator overflow at M = 180:
+        # exit 3 naming the variant, beta and M, and no output of the failed run
+        out = tmp_path / "o"
+        rc = main([command, "--form", "nodal", "--basis", "polynomials", "--nodes", "gl",
+                   "--direction", "inflow", "--beta", "1", "--M", "180", "--output", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: nodal/polynomials/gl/inflow operator has non-finite entries" in err
+        assert "beta=1.0, M=180" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config", ["wavetrain_15nodes", "convergence_dg"])
+    def test_negative_dg_order_is_a_config_error(self, tmp_path, capsys, config):
+        rc = main(["run", "--config", str(CONFIG_DIR / f"{config}.cfg"), "--override", "p=-1",
+                   "--output", str(tmp_path / "o")])
+        assert rc == 2
+        assert "configuration error: DG order p must be non-negative, got p=-1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("scenario, key", LIST_KEYS)
+    def test_empty_list_keys_are_config_errors(self, tmp_path, capsys, scenario, key):
+        # an empty list would run nothing and write a header-only table
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text(f'scenario = "{scenario}"\n{key} = []\n')
+        rc = main(["run", "--config", str(cfg), "--output", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"key {key!r} of scenario {scenario!r} takes a non-empty list" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("args", [
         ["spectrum", "--form", "modal", "--basis", "functions", "--direction", "inflow",

@@ -170,16 +170,12 @@ class TestTraceAndGhost:
     def test_mass_matrix_orthonormality(self):
         # int phi_p phi_q over the element equals dz * delta_pq
         from lagdg.dg import gauss_legendre
-        from lagdg.basis import legendre_eval
+        from lagdg.basis import legendre_table
 
         xi, w = gauss_legendre(6)
         dz = 0.7
-        for p in range(4):
-            for q in range(4):
-                phi_p = np.sqrt(2 * p + 1) * legendre_eval(p, xi)
-                phi_q = np.sqrt(2 * q + 1) * legendre_eval(q, xi)
-                val = (dz / 2) * np.sum(w * phi_p * phi_q)
-                assert val == pytest.approx(dz if p == q else 0.0, abs=1e-12)
+        phi = np.sqrt(2 * np.arange(4) + 1.0)[:, None] * legendre_table(3, xi)
+        assert (dz / 2) * (phi * w) @ phi.T == pytest.approx(dz * np.eye(4), abs=1e-12)
 
     def test_edge_values(self):
         left, right = edge_values(2)

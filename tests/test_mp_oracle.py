@@ -13,7 +13,10 @@ polynomial basis at M = 10 is checked against the 80-digit spectrum.
 GLR rules are checked the same way: the zeros of L'_{M+1} are polished to
 50 digits by Newton on the three-term recurrence, and the weights follow
 from the closed form w_j = 1/((M+1) L_M(x_j)^2) with L_M from
-``mp.laguerre``.
+``mp.laguerre``.  The same roots, polished at 80 digits, give the GLR
+polynomial operators whose spectra ``advection`` states in closed form:
+the eigenvalues of the strong and weak nodal inflow blocks, and the
+nilpotency of the weak nodal outflow operator.
 """
 
 import numpy as np
@@ -151,3 +154,75 @@ def test_glr_rule_matches_50_digit_roots(M):
             assert rule.nodes[0] == 0.0
             np.testing.assert_allclose(rule.nodes[1:], x / beta, rtol=2e-13, atol=0)
             np.testing.assert_allclose(rule.weights, w_ref / beta, rtol=3e-11, atol=0)
+
+
+def _mp_glr_poly(beta: float, M: int):
+    """GLR nodes z, classical weights w and the Lagrange differentiation
+    matrix D at the working precision, from the roots of _mp_glr_unit
+    (Newton converges quadratically, so they carry the working precision)."""
+    n = M + 1
+    roots = _mp_glr_unit(M, build_rule("glr", "polynomials", 1.0, M).nodes[1:])
+    b = mp.mpf(beta)
+    z = [mp.mpf(0)] + [r / b for r, _ in roots]
+    w = [1 / (n * b)] + [1 / (n * lm**2 * b) for _, lm in roots]
+    c = [mp.fprod(z[i] - z[k] for k in range(n) if k != i) for i in range(n)]
+    D = mp.matrix(n, n)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                D[i, i] = mp.fsum(1 / (z[i] - z[k]) for k in range(n) if k != i)
+            else:
+                D[i, j] = c[i] / (c[j] * (z[i] - z[j]))
+    return w, D
+
+
+@pytest.mark.parametrize("form, M, beta", [
+    ("strong", 5, 0.5), ("strong", 5, 2.0), ("strong", 10, 0.5), ("strong", 10, 2.0), ("strong", 25, 1.0),
+    ("nodal", 5, 0.5), ("nodal", 5, 2.0), ("nodal", 10, 0.5), ("nodal", 10, 2.0),
+])
+def test_glr_polynomial_inflow_spectrum_matches_80_digit_assembly(form, M, beta):
+    # strong: -u D[1:, 1:]; nodal: u Om^-1 D[1:, 1:] Om - beta u I over the
+    # interior nodes (u = 1).  The nodal block at M = 25 is left out: its
+    # eigenvalue condition (about 1e93) exceeds 80 digits.
+    u = 1.0
+    op = assemble(SchemeVariant(form, "polynomials", "glr", "inflow"), beta, M, u)
+    with mp.workdps(DPS):
+        w, D = _mp_glr_poly(beta, M)
+        A = mp.matrix(M, M)
+        for i in range(M):
+            for j in range(M):
+                A[i, j] = -u * D[i + 1, j + 1] if form == "strong" else u * D[i + 1, j + 1] * w[j + 1] / w[i + 1]
+            if form == "nodal":
+                A[i, i] -= beta * u
+        lam = sorted(mp.eig(A, left=False, right=False), key=lambda v: mp.im(v))
+        # op.exact_eigenvalues is _glr_poly_block_spectrum's closed form;
+        # compare it at 80 digits and in double precision
+        exact = sorted((complex(v) for v in op.exact_eigenvalues), key=lambda v: v.imag)
+        nu = [mp.mpf(1) / 2 + mp.j / 2 * mp.cot(mp.pi * m / (M + 1)) for m in range(1, M + 1)]
+        closed = sorted((-u * beta * v if form == "strong" else u * beta * v - beta * u for v in nu),
+                        key=lambda v: mp.im(v))
+        assert max(abs(a - b) for a, b in zip(lam, closed)) <= mp.mpf(10) ** -50 * beta
+    assert max(abs(complex(a) - b) for a, b in zip(closed, exact)) <= 1e-14 * beta
+
+
+@pytest.mark.parametrize("M, radius_bound", [(5, 1e-10), (10, 1e-4), (25, None)])
+def test_glr_polynomial_outflow_operator_is_nilpotent_at_80_digits(M, radius_bound):
+    # u Om^-1 D Om + (u / w_0) e0 e0^T - beta u I, all eigenvalues exactly zero.
+    # rho(A) <= ||A^n||^(1/n) turns ||A^n|| << ||A||^n into a bound on the
+    # spectrum; with ||A|| near 1.7e52 at M = 25, 80 digits bound it only by
+    # about 0.35 beta there, so that point keeps the norm ratio alone.
+    beta, u, n = 1.0, -1.0, M + 1
+    with mp.workdps(DPS):
+        w, D = _mp_glr_poly(beta, M)
+        A = mp.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                A[i, j] = u * D[i, j] * w[j] / w[i]
+            A[i, i] -= beta * u
+        A[0, 0] += u / w[0]
+        power = mp.mnorm(A**n, 1)
+        assert power <= mp.mpf(10) ** -60 * mp.mnorm(A, 1) ** n
+        if radius_bound is not None:
+            assert power ** (mp.mpf(1) / n) <= radius_bound * beta
+    op = assemble(SchemeVariant("nodal", "polynomials", "glr", "outflow"), beta, M, u)
+    np.testing.assert_array_equal(op.exact_eigenvalues, np.zeros(n))

@@ -7,22 +7,34 @@ from lagdg import quadrature
 from lagdg.advection import SchemeVariant, assemble
 from lagdg.basis import BasisSpec, laguerre_fun_table, laguerre_poly_table
 from lagdg.cli import main
-from lagdg.quadrature import (
-    build_diff_matrix,
-    build_rule,
-    cardinal_values_at_origin,
-    lagrange_cardinal_eval,
-)
+from lagdg.quadrature import build_diff_matrix, build_rule, cardinal_values_at_origin
 from lagdg.semiinf import LaguerreModalOperator, scalar_system
 
 
-def barycentric_cardinal(nodes, j, z):
-    """Second-form barycentric oracle for the cardinal polynomial."""
+def barycentric_at_origin(nodes):
+    """Second-form barycentric oracle for every cardinal polynomial at z = 0
+    (Berrut & Trefethen, SIAM Review 46, 2004); e_j when z_j = 0 is a node."""
+    if np.any(nodes == 0.0):
+        return (nodes == 0.0).astype(float)
     lam = np.array([1.0 / np.prod(nodes[k] - np.delete(nodes, k)) for k in range(len(nodes))])
-    if np.any(np.abs(z - nodes) < 1e-14):
-        return 1.0 if abs(z - nodes[j]) < 1e-14 else 0.0
-    terms = lam / (z - nodes)
-    return terms[j] / terms.sum()
+    terms = lam / (0.0 - nodes)
+    return terms / terms.sum()
+
+
+def product_loop_at_origin(rule):
+    """The scalar Lagrange product at z = 0, one node and one factor at a
+    time: the loop the spectra goldens were captured with."""
+    z = rule.nodes
+    out = []
+    for j in range(rule.n):
+        val = 1.0
+        for m in range(rule.n):
+            if m != j:
+                val *= (0.0 - z[m]) / (z[j] - z[m])
+        if rule.basis_kind == "functions":
+            val *= np.exp(-0.5 * rule.beta * (0.0 - z[j]))
+        out.append(float(val))
+    return np.array(out)
 
 
 class TestRuleConstruction:
@@ -235,53 +247,51 @@ class TestUnitRuleCache:
         assert solved == [25]
 
 
+CARDINAL_CASES = [(node, basis) for node in ("gl", "glr") for basis in ("functions", "polynomials")]
+
+
+def cardinal_rules(node, basis):
+    """Every rule of the node and basis family with M <= 50, at three betas."""
+    for beta in (0.25, 1.0, 2.0):
+        for M in range(0 if node == "gl" else 1, 51):
+            yield build_rule(node, basis, beta, M)
+
+
 class TestCardinalBasis:
-    def test_cardinal_property(self):
-        rule = build_rule("gl", "functions", 1.0, 6)
-        for j in (0, 3, 6):
-            for i in range(7):
-                val = lagrange_cardinal_eval(rule, j, rule.nodes[i])
-                assert val == pytest.approx(1.0 if i == j else 0.0, abs=1e-9)
+    # shipped code evaluates the cardinal basis at one point, the origin
+
+    @pytest.mark.parametrize("node, basis", CARDINAL_CASES)
+    def test_bits_match_the_scalar_product_loop(self, node, basis):
+        # the spectra goldens pin these bits, the sign of a zero included
+        for rule in cardinal_rules(node, basis):
+            h0, ref = cardinal_values_at_origin(rule), product_loop_at_origin(rule)
+            assert np.array_equal(h0, ref) and np.array_equal(np.signbit(h0), np.signbit(ref)), rule.M
+
+    @pytest.mark.parametrize("node, basis", CARDINAL_CASES)
+    def test_against_barycentric_oracle(self, node, basis):
+        for rule in cardinal_rules(node, basis):
+            expect = barycentric_at_origin(rule.nodes)
+            if basis == "functions":
+                expect = expect * np.exp(0.5 * rule.beta * rule.nodes)
+            assert cardinal_values_at_origin(rule) == pytest.approx(expect, rel=1e-12, abs=0), rule.M
+
+    @pytest.mark.parametrize("node, basis", CARDINAL_CASES)
+    def test_interpolation_identity(self, node, basis):
+        # sum_j p(z_j) h_j = p(0) for every p the basis spans; numpy's Laguerre
+        # polynomials L_k(beta z), k <= M, are all 1 at the origin (the
+        # function family reproduces them times exp(-beta z / 2))
+        for rule in cardinal_rules(node, basis):
+            x = rule.beta * rule.nodes
+            values = np.polynomial.laguerre.lagvander(x, rule.M).T
+            if basis == "functions":
+                values = values * np.exp(-0.5 * x)
+            assert values @ cardinal_values_at_origin(rule) == pytest.approx(np.ones(rule.n), rel=0, abs=1e-12)
 
     def test_glr_boundary_values(self):
         rule = build_rule("glr", "functions", 2.0, 8)
         h0 = cardinal_values_at_origin(rule)
         assert h0[0] == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(h0[1:])) < 1e-12
-
-    def test_against_barycentric_oracle(self):
-        rule = build_rule("gl", "functions", 1.0, 4)
-        z = 0.37
-        expect = barycentric_cardinal(rule.nodes, 0, z) * np.exp(-0.5 * (z - rule.nodes[0]))
-        assert lagrange_cardinal_eval(rule, 0, z) == pytest.approx(expect, rel=1e-12)
-
-    def test_interpolation_identity(self):
-        # polynomials of degree <= M are reproduced by the cardinal expansion
-        rule = build_rule("glr", "polynomials", 1.3, 7)
-        rng = np.random.default_rng(7)
-        coef = rng.normal(size=8)
-        p = np.polynomial.Polynomial(coef)
-        for z in rng.uniform(0, 6, size=10):
-            val = sum(p(rule.nodes[j]) * lagrange_cardinal_eval(rule, j, z) for j in range(8))
-            assert val == pytest.approx(p(z), rel=1e-8)
-
-    def test_interpolation_identity_function_basis(self):
-        # polynomial-times-envelope targets are reproduced exactly
-        beta = 0.9
-        rule = build_rule("gl", "functions", beta, 6)
-        rng = np.random.default_rng(19)
-        p = np.polynomial.Polynomial(rng.normal(size=7))
-        f = lambda z: p(z) * np.exp(-0.5 * beta * z)
-        for z in rng.uniform(0, 8, size=10):
-            val = sum(f(rule.nodes[j]) * lagrange_cardinal_eval(rule, j, z) for j in range(7))
-            assert val == pytest.approx(f(z), rel=1e-8, abs=1e-10)
-
-    def test_index_error(self):
-        rule = build_rule("gl", "functions", 1.0, 3)
-        with pytest.raises(IndexError):
-            lagrange_cardinal_eval(rule, 4, 1.0)
-        with pytest.raises(ValueError):
-            lagrange_cardinal_eval(rule, 0, -1.0)
 
 
 class TestDiffMatrix:
