@@ -61,15 +61,22 @@ def swe_system(cfg: SWEConfig) -> HyperbolicSystem:
 
 
 def rk3_step(rhs: Callable, y: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """Three-stage third-order step: y + dt/6 (K1 + K2 + 4 K3)."""
+    """Three-stage third-order step y + dt/6 (K1 + K2 + 4 K3), in place with the same bits."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     k1 = rhs(t, y)
-    k2 = rhs(t + dt, y + dt * k1)
-    s = k1 + k2  # shared by the third stage and the update, in the same order
-    k3 = rhs(t + 0.5 * dt, y + 0.25 * dt * s)
-    out = y + (dt / 6.0) * (s + 4.0 * k3)
-    if not np.all(np.isfinite(out)):
+    y2 = dt * k1
+    y2 += y
+    k2 = rhs(t + dt, y2)
+    s = k1 + k2
+    y3 = 0.25 * dt * s
+    y3 += y
+    k3 = rhs(t + 0.5 * dt, y3)
+    out = 4.0 * k3
+    out += s
+    out *= dt / 6.0
+    out += y
+    if not np.isfinite(out).all():
         bad = [name for name, k in (("K1", k1), ("K2", k2), ("K3", k3)) if not np.all(np.isfinite(k))]
         raise RuntimeError(f"time step produced non-finite values at t={t} (stages: {bad or ['update']})")
     return out
@@ -104,9 +111,8 @@ class CoupledModel:
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
         dg, semi = self.split(y)
-        dg_trace = self.dg_op.right_trace(dg)
         dg_dot = self.dg_op.rhs(dg, t, semi.sum(axis=1))
-        semi_dot = self.semi_op.rhs(semi, t, dg_trace)
+        semi_dot = self.semi_op.rhs(semi, t, self.dg_op.right_trace(dg))
         return np.concatenate([dg_dot.ravel(), semi_dot.ravel()])
 
     def initial_state(self, h_fun, u_fun) -> np.ndarray:

@@ -8,8 +8,8 @@ use the characteristic upwind flux F(qm, qp) = A+ qm + A- qp; the same
 closure handles the physical boundaries through ghost states (Dirichlet
 data on incoming characteristics, interior trace on outgoing ones).
 The left closure is a linear map built once per operator, and so are
-the maps that take an element's coefficients to its edge trace and lift
-a boundary flux back onto the coefficients.
+the edge traces; the boundary states enter the interior neighbour
+blocks as the degree-0 coefficients of ghost elements.
 """
 
 from __future__ import annotations
@@ -141,15 +141,14 @@ class DGOperator:
     number of incoming characteristics) and left_bc is a callable t ->
     values of all d components, of which only the masked ones are read.
     Both or neither are given; without them the boundary is transmissive.
-    The closure is built once, and so are the boundary maps: the edge
-    traces kron(I, e_l^T) and kron(I, e_r^T) take an element's
-    coefficients to its (d,) end values, and the lifts kron(A+, e_l) / dz
-    and -kron(A-, e_r) / dz add a boundary state's upwind flux to the
-    first and last element.  Each map is stored as its C-contiguous
-    transpose and acts from the right on the element rows of the
-    element-major array of shape blocks_shape; project, centers,
-    right_trace and energy convert between that layout and the flat
-    state, the profiles, the cell-centre output and the energy.
+    The closure is built once, and so are the edge traces kron(I, e_l^T)
+    and kron(I, e_r^T) to an element's (d,) end values.  Each map is a
+    C-contiguous transpose acting from the right on the rows of the
+    element-major array of shape blocks_shape.  rhs copies the rows into
+    a zeroed work array between two ghost rows whose degree-0 slots take
+    the boundary states; phi_0 = 1 at both ends, so lower and upper lift
+    their fluxes.  project, centers, right_trace and energy convert
+    between the layout and the flat state, profiles, centres and energy.
     """
 
     def __init__(self, sys: HyperbolicSystem, mesh: Mesh1D, p: int, left_bc=None, left_mask=None):
@@ -169,29 +168,26 @@ class DGOperator:
                      + np.kron(am, np.outer(el, el))) / mesh.dz
         self.lower = np.kron(ap, np.outer(el, er)) / mesh.dz
         self.upper = -np.kron(am, np.outer(er, el)) / mesh.dz
-        eye = np.eye(sys.d)
-        self.trace_left = np.kron(eye, el)
-        self.trace_right = np.kron(eye, er)
-        self.lift_left = np.kron(ap, el[:, None]) / mesh.dz
-        self.lift_right = -np.kron(am, er[:, None]) / mesh.dz
-        for name in ("diag", "lower", "upper", "trace_left", "trace_right", "lift_left", "lift_right"):
+        self.trace_left = np.kron(np.eye(sys.d), el)
+        self.trace_right = np.kron(np.eye(sys.d), er)
+        for name in ("diag", "lower", "upper", "trace_left", "trace_right"):
             setattr(self, name, np.ascontiguousarray(getattr(self, name).T))  # no .T views: they are slower
+        self._padded = np.zeros((mesh.n_elements + 2, self.blocks_shape[1]))
 
     def rhs(self, blocks: np.ndarray, t: float, right_exterior: np.ndarray | None) -> np.ndarray:
         """Time derivative of element-major (n, d(p+1)) coefficients.
 
         right_exterior is the exterior state at z = L, or None for the
-        interior trace.
+        interior trace.  Not reentrant: each call refills one work array.
         """
-        out = blocks @ self.diag
-        out[1:] += blocks[:-1] @ self.lower
-        out[:-1] += blocks[1:] @ self.upper
-
+        w = self._padded
+        w[1:-1] = blocks
         values = self._left_bc(t) if self._left_bc is not None else None
-        out[0] += characteristic_ghost(self._closure, blocks[0] @ self.trace_left, values) @ self.lift_left
-        if right_exterior is None:
-            right_exterior = blocks[-1] @ self.trace_right
-        out[-1] += right_exterior @ self.lift_right
+        w[0, ::self.p + 1] = characteristic_ghost(self._closure, blocks[0] @ self.trace_left, values)
+        w[-1, ::self.p + 1] = blocks[-1] @ self.trace_right if right_exterior is None else right_exterior
+        out = blocks @ self.diag
+        out += w[:-2] @ self.lower
+        out += w[2:] @ self.upper
         return out
 
     def project(self, component_funcs) -> np.ndarray:

@@ -131,6 +131,7 @@ def resolve_config(defaults: dict, cfg: dict, scenario: str) -> dict:
 
 # --------------------------------------------------------------------------
 # single-domain DG reference model
+_WALL_FLIP = np.array([1.0, -1.0])  # a solid wall mirrors (h, u) to (h, -u)
 
 
 class DGOnlyModel:
@@ -150,10 +151,7 @@ class DGOnlyModel:
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
         blocks = y.reshape(self.op.blocks_shape)
-        right = None
-        if self.reflect_right:
-            tr = self.op.right_trace(blocks)
-            right = np.array([tr[0], -tr[1]])
+        right = self.op.right_trace(blocks) * _WALL_FLIP if self.reflect_right else None
         return self.op.rhs(blocks, t, right).ravel()
 
     def initial_state(self, h_fun, u_fun) -> np.ndarray:
@@ -256,8 +254,13 @@ def _steps(T: float, dt_max: float) -> tuple[float, int]:
     return T / n_steps, n_steps
 
 
-def _reference(cfg: dict, mesh: Mesh1D, n_elements: int, **kw) -> DGOnlyModel:
-    """Undamped DG-only model on n_elements cells of the coupled mesh's size."""
+def _reference(cfg: dict, mesh: Mesh1D, n_elements: int, key: str, **kw) -> DGOnlyModel:
+    """Undamped DG-only model on n_elements cells of the coupled mesh's size;
+    key names the config value that sets n_elements.  The reference must
+    cover the coupled mesh, which is checked before anything is solved."""
+    if n_elements < mesh.n_elements:
+        raise ConfigError(f"{key} = {cfg[key]} gives a reference of {n_elements} elements, fewer than "
+                          f"the {mesh.n_elements} of the coupled mesh on [0, {mesh.length:g}]")
     return DGOnlyModel(_swe(cfg), Mesh1D(n_elements * mesh.dz, n_elements), int(cfg["p"]), **kw)
 
 
@@ -292,7 +295,7 @@ def _validation_row(cfg: dict, direction: str, h1: float, sigma: float,
     mesh = Mesh1D(cfg["L"], int(cfg["nx"]))
     spec = BasisSpec("functions", float(cfg["beta"]), int(cfg["semi_nodes"]) - 1)
     model = CoupledModel(_swe(cfg), mesh, int(cfg["p"]), spec)
-    ref = _reference(cfg, mesh, int(round(cfg["ref_length"] / mesh.dz)))
+    ref = _reference(cfg, mesh, int(round(cfg["ref_length"] / mesh.dz)), "ref_length")
 
     ingoing = direction == "ingoing"
     x0 = cfg["x0_ingoing"] if ingoing else cfg["x0_outgoing"]
@@ -361,7 +364,8 @@ def _wavetrain_row(cfg: dict, amplitude: float, outdir: Path) -> dict:
     model = CoupledModel(swe, mesh, int(cfg["p"]), spec, left_bc=left_bc, left_mask=mask,
                          damping=_damping(cfg))
     ref_len = cfg["L"] + c * cfg["T"] + cfg["ref_margin"]
-    ref = _reference(cfg, mesh, int(np.ceil(ref_len / mesh.dz)), left_bc=left_bc, left_mask=mask)
+    ref = _reference(cfg, mesh, int(np.ceil(ref_len / mesh.dz)), "ref_margin",
+                     left_bc=left_bc, left_mask=mask)
 
     n = mesh.n_elements
     yT, num = _solve(model, model.initial_state(_zero, _zero), dt, n_steps, n)
@@ -410,7 +414,7 @@ def _absorption_row(cfg: dict, row, outdir: Path) -> dict:
 
     model = CoupledModel(swe, mesh, int(cfg["p"]), spec, damping=_damping(cfg))
     wall = DGOnlyModel(swe, mesh, int(cfg["p"]), reflect_right=True)
-    ref = _reference(cfg, mesh, int(round(cfg["ref_length"] / mesh.dz)))
+    ref = _reference(cfg, mesh, int(round(cfg["ref_length"] / mesh.dz)), "ref_length")
 
     h_fun = _gaussian(cfg["h1"], cfg["x0"], cfg["sigma"])
     yT, num = _solve(model, model.initial_state(h_fun, _zero), dt, steps, nx)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lagdg import scenarios
 from lagdg.cli import main
 from lagdg.scenarios import SCENARIOS, ConfigError, parse_config_file, run_scenario
 
@@ -193,6 +194,25 @@ class TestCliCommands:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and reason in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("config, overrides, key", [
+        ("coupling_validation", ["ref_length=5000"], "ref_length"),
+        ("absorption_main", ["ref_length=8000"], "ref_length"),
+        ("wavetrain_15nodes", ["T=50", "ref_margin=-400"], "ref_margin"),
+    ], ids=["validation", "absorption", "wavetrain"])
+    def test_reference_shorter_than_the_mesh_is_a_config_error(self, tmp_path, capsys, monkeypatch,
+                                                                config, overrides, key):
+        # rejected before any solve, naming the key, and not by a shape mismatch afterwards
+        solves = []
+        monkeypatch.setattr(scenarios, "run_simulation", lambda *a, **k: solves.append(a))
+        args = ["run", "--config", str(CONFIG_DIR / f"{config}.cfg"), "--output", str(tmp_path / "o")]
+        for item in overrides:
+            args += ["--override", item]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and f"{key} = " in err and "fewer than" in err
+        assert solves == []
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("config, override, error, message", [

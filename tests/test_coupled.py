@@ -132,6 +132,39 @@ class TestRK3:
         with pytest.raises(RuntimeError):
             rk3_step(lambda t, q: q * np.inf, np.array([1.0]), 0.0, 0.1)
 
+    def test_a_stage_that_fails_alone_is_named(self):
+        # finite until the third stage: the message names K3 only
+        calls = []
+
+        def rhs(t, q):
+            calls.append(t)
+            return np.full_like(q, np.nan if len(calls) == 3 else 1.0)
+
+        with pytest.raises(RuntimeError, match=r"stages: \['K3'\]"):
+            rk3_step(rhs, np.array([1.0, 2.0]), 0.0, 0.1)
+        assert calls == [0.0, 0.1, 0.05]
+
+    def test_overflow_in_the_update_is_named(self):
+        # every stage is finite; only y + dt/6 (K1 + K2 + 4 K3) overflows
+        y = np.array([np.finfo(float).max, 1.0])
+        with np.errstate(over="ignore"), pytest.raises(RuntimeError, match=r"stages: \['update'\]"):
+            rk3_step(lambda t, q: np.full(2, 1e300), y, 0.0, 1.0)
+
+    def test_stages_that_return_their_input_stay_intact(self):
+        # a right-hand side may hand back its input: the stage inputs are fresh
+        # arrays that the step does not write to after the call
+        seen = []
+
+        def rhs(t, q):
+            seen.append((q, q.copy()))
+            return q
+
+        y = np.array([0.5, -1.5, 2.0])
+        out = rk3_step(rhs, y, 0.0, 0.2)
+        assert all(np.array_equal(q, kept) for q, kept in seen)
+        k1, k2, k3 = (kept for _, kept in seen)
+        assert np.array_equal(out, y + (0.2 / 6.0) * (k1 + k2 + 4.0 * k3))
+
 
 def small_model(damping=None, left_bc=None, left_mask=None):
     cfg = SWEConfig()
@@ -374,7 +407,7 @@ class TestLayout:
         assert np.array_equal(y, project_dg(funcs, mesh, p).ravel())
         assert np.array_equal(op.centers(y), eval_at_centers(project_dg(funcs, mesh, p)))
         # the maps act from the right as C-contiguous arrays; transposed views are slower
-        for name in ("diag", "lower", "upper", "trace_left", "trace_right", "lift_left", "lift_right"):
+        for name in ("diag", "lower", "upper", "trace_left", "trace_right"):
             assert getattr(op, name).flags.c_contiguous, name
 
     @pytest.mark.parametrize("p", [0, 1, 3])

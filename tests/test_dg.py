@@ -211,6 +211,81 @@ def test_rhs_and_trace_return_fresh_arrays(p, boundary):
     assert not np.shares_memory(trace, blocks)
 
 
+def _ghost_row_case(d: int, boundary: str):
+    """(system, DGOperator keywords, right exterior as a function of the
+    blocks' right trace) of one boundary kind.  A scalar case that reads the
+    left boundary needs u > 0, one that reads the right needs u < 0."""
+    if d == 1:
+        sys = scalar_system(0.8 if boundary == "masked-left" else -0.6)
+        masked = dict(left_bc=lambda t: np.array([np.cos(t)]), left_mask=np.array([True]))
+        wall = np.array([-1.0])
+    else:
+        sys = swe_system(SWEConfig(U=0.3))   # both A+ and A- are nonzero
+        masked = dict(left_bc=lambda t: np.array([7.0, 0.4 * np.cos(t)]), left_mask=np.array([False, True]))
+        wall = np.array([1.0, -1.0])
+    kw = masked if boundary == "masked-left" else {}
+    right = {"prescribed-right": lambda tr: np.linspace(0.3, -0.2, d),
+             "wall": lambda tr: tr * wall}.get(boundary, lambda tr: None)
+    return sys, kw, right
+
+
+def _lifted_rhs(sys, mesh: Mesh1D, p: int, blocks, t, right, left_bc=None, left_mask=None):
+    """The DG right-hand side with its boundary fluxes as separate lifts on the
+    boundary rows: kron(A+, e_l) / dz times the left ghost onto the first
+    element and -kron(A-, e_r) / dz times the right exterior state onto the
+    last, as DGOperator applied them before they moved into ghost rows."""
+    interior = DGOperator(sys, mesh, p)
+    ap, am = flux_split(sys.a, sys.eig)
+    el, er = edge_values(p)
+    coeffs = _from_blocks(blocks, sys.d)
+    out = blocks @ interior.diag
+    out[1:] += blocks[:-1] @ interior.lower
+    out[:-1] += blocks[1:] @ interior.upper
+    values = left_bc(t) if left_bc is not None else None
+    ghost = characteristic_ghost(characteristic_closure(sys.eig, left_mask), coeffs[0] @ el, values)
+    out[0] += np.kron(ap, el[:, None]) @ ghost / mesh.dz
+    out[-1] -= np.kron(am, er[:, None]) @ (coeffs[-1] @ er if right is None else right) / mesh.dz
+    return out
+
+
+@pytest.mark.parametrize("boundary", ["transmissive", "masked-left", "prescribed-right", "wall"])
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("p", [0, 1, 3])
+def test_ghost_rows_match_the_boundary_lifts(p, d, n, boundary):
+    # phi_0 = 1 at both element ends, so lower and upper applied to a ghost row
+    # that holds a state in its degree-0 slots are the lifts of that state
+    sys, kw, right_of = _ghost_row_case(d, boundary)
+    mesh = Mesh1D(3.0 * n, n)
+    op = DGOperator(sys, mesh, p, **kw)
+    blocks = np.random.default_rng(100 * p + 10 * d + n).normal(size=op.blocks_shape)
+    right = right_of(op.right_trace(blocks))
+    got = op.rhs(blocks, 0.7, right)
+    expect = _lifted_rhs(sys, mesh, p, blocks, 0.7, right, **kw)
+    # one transmissive p = 0 element has a zero derivative: its rounding is
+    # measured against the size of the terms that cancel
+    scale = max(np.max(np.abs(expect)), np.max(np.abs(blocks @ op.diag)))
+    assert np.max(np.abs(got - expect)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("p", [0, 1, 3])
+def test_work_array_carries_nothing_between_calls(p):
+    # one operator, calls that change the blocks and the right boundary kind
+    # in turn: each result equals a fresh operator's, bit for bit, and is
+    # never the work array or a view of it
+    sys, kw, _ = _ghost_row_case(2, "masked-left")
+    mesh = Mesh1D(20.0, 5)
+    op = DGOperator(sys, mesh, p, **kw)
+    rng = np.random.default_rng(p)
+    for i, kind in enumerate(["transmissive", "wall", "prescribed-right", "transmissive", "prescribed-right",
+                              "wall", "transmissive"]):
+        blocks = rng.normal(size=op.blocks_shape) * 10.0 ** (i % 3)
+        right = _ghost_row_case(2, kind)[2](op.right_trace(blocks))
+        got = op.rhs(blocks, 0.1 * i, right)
+        assert np.array_equal(got, DGOperator(sys, mesh, p, **kw).rhs(blocks, 0.1 * i, right)), kind
+        assert not np.shares_memory(got, op._padded)
+
+
 def test_only_dg_knows_the_block_layout():
     # coupled.py and scenarios.py go through DGOperator.project, centers
     # and right_trace; the private layout helpers stay inside dg.py

@@ -143,3 +143,30 @@ def test_benchmark_hooks_install_on_lagdg(hook):
     proc = subprocess.run([sys.executable, "-c", _HOOKS[hook]], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
+
+
+_mutants_spec = importlib.util.spec_from_file_location(
+    "mutants", Path(__file__).resolve().parents[1] / "tools" / "mutants.py")
+mutants = sys.modules["mutants"] = importlib.util.module_from_spec(_mutants_spec)  # dataclasses look it up
+_mutants_spec.loader.exec_module(mutants)
+
+
+def test_mutant_anchors_occur_once():
+    # the full run (tools/mutants.py) takes minutes; Tier-1 only keeps its
+    # list from rotting: every old text is still there, exactly once
+    root = Path(__file__).resolve().parents[1]
+    assert mutants.anchor_problems(root) == []
+    names = [m.name for m in mutants.MUTANTS]
+    assert len(set(names)) == len(names)
+    assert all(m.tests and all(t.startswith("tests/") for t in m.tests) for m in mutants.MUTANTS)
+
+
+def test_mutant_anchor_problems_are_reported(tmp_path):
+    (tmp_path / "f.py").write_text("a = 1\na = 1\nb = 2\n")
+    cases = [mutants.Mutant("twice", "f.py", "a = 1", "a = 2", ("tests/x.py",)),
+             mutants.Mutant("absent", "f.py", "c = 3", "c = 4", ("tests/x.py",)),
+             mutants.Mutant("same", "f.py", "b = 2", "b = 2", ("tests/x.py",)),
+             mutants.Mutant("ok", "f.py", "b = 2", "b = 3", ("tests/x.py",)),
+             mutants.Mutant("no-file", "g.py", "b = 2", "b = 3", ("tests/x.py",))]
+    problems = mutants.anchor_problems(tmp_path, cases)
+    assert [p.split(":")[0] for p in problems] == ["twice", "absent", "same", "no-file"]
