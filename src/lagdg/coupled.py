@@ -111,8 +111,9 @@ class CoupledModel:
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
         dg, semi = self.split(y)
+        dg_trace = self.dg_op.right_trace(dg)
         dg_dot = self.dg_op.rhs(dg, t, semi.sum(axis=1))
-        semi_dot = self.semi_op.rhs(semi, t, self.dg_op.right_trace(dg))
+        semi_dot = self.semi_op.rhs(semi, t, dg_trace)
         return np.concatenate([dg_dot.ravel(), semi_dot.ravel()])
 
     def initial_state(self, h_fun, u_fun) -> np.ndarray:

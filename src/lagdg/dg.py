@@ -145,7 +145,7 @@ class DGOperator:
     and kron(I, e_r^T) to an element's (d,) end values.  Each map is a
     C-contiguous transpose acting from the right on the rows of the
     element-major array of shape blocks_shape.  rhs copies the rows into
-    a zeroed work array between two ghost rows whose degree-0 slots take
+    a fresh zeroed array between two ghost rows whose degree-0 slots take
     the boundary states; phi_0 = 1 at both ends, so lower and upper lift
     their fluxes.  project, centers, right_trace and energy convert
     between the layout and the flat state, profiles, centres and energy.
@@ -172,15 +172,14 @@ class DGOperator:
         self.trace_right = np.kron(np.eye(sys.d), er)
         for name in ("diag", "lower", "upper", "trace_left", "trace_right"):
             setattr(self, name, np.ascontiguousarray(getattr(self, name).T))  # no .T views: they are slower
-        self._padded = np.zeros((mesh.n_elements + 2, self.blocks_shape[1]))
 
     def rhs(self, blocks: np.ndarray, t: float, right_exterior: np.ndarray | None) -> np.ndarray:
         """Time derivative of element-major (n, d(p+1)) coefficients.
 
         right_exterior is the exterior state at z = L, or None for the
-        interior trace.  Not reentrant: each call refills one work array.
+        interior trace.
         """
-        w = self._padded
+        w = np.zeros((blocks.shape[0] + 2, blocks.shape[1]))
         w[1:-1] = blocks
         values = self._left_bc(t) if self._left_bc is not None else None
         w[0, ::self.p + 1] = characteristic_ghost(self._closure, blocks[0] @ self.trace_left, values)

@@ -131,7 +131,6 @@ def resolve_config(defaults: dict, cfg: dict, scenario: str) -> dict:
 
 # --------------------------------------------------------------------------
 # single-domain DG reference model
-_WALL_FLIP = np.array([1.0, -1.0])  # a solid wall mirrors (h, u) to (h, -u)
 
 
 class DGOnlyModel:
@@ -151,7 +150,10 @@ class DGOnlyModel:
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
         blocks = y.reshape(self.op.blocks_shape)
-        right = self.op.right_trace(blocks) * _WALL_FLIP if self.reflect_right else None
+        right = None
+        if self.reflect_right:
+            tr = self.op.right_trace(blocks)
+            right = np.array([tr[0], -tr[1]])
         return self.op.rhs(blocks, t, right).ravel()
 
     def initial_state(self, h_fun, u_fun) -> np.ndarray:

@@ -268,24 +268,6 @@ def test_ghost_rows_match_the_boundary_lifts(p, d, n, boundary):
     assert np.max(np.abs(got - expect)) <= 1e-14 * scale
 
 
-@pytest.mark.parametrize("p", [0, 1, 3])
-def test_work_array_carries_nothing_between_calls(p):
-    # one operator, calls that change the blocks and the right boundary kind
-    # in turn: each result equals a fresh operator's, bit for bit, and is
-    # never the work array or a view of it
-    sys, kw, _ = _ghost_row_case(2, "masked-left")
-    mesh = Mesh1D(20.0, 5)
-    op = DGOperator(sys, mesh, p, **kw)
-    rng = np.random.default_rng(p)
-    for i, kind in enumerate(["transmissive", "wall", "prescribed-right", "transmissive", "prescribed-right",
-                              "wall", "transmissive"]):
-        blocks = rng.normal(size=op.blocks_shape) * 10.0 ** (i % 3)
-        right = _ghost_row_case(2, kind)[2](op.right_trace(blocks))
-        got = op.rhs(blocks, 0.1 * i, right)
-        assert np.array_equal(got, DGOperator(sys, mesh, p, **kw).rhs(blocks, 0.1 * i, right)), kind
-        assert not np.shares_memory(got, op._padded)
-
-
 def test_only_dg_knows_the_block_layout():
     # coupled.py and scenarios.py go through DGOperator.project, centers
     # and right_trace; the private layout helpers stay inside dg.py

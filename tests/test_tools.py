@@ -146,8 +146,8 @@ def test_benchmark_hooks_install_on_lagdg(hook):
 
 
 _mutants_spec = importlib.util.spec_from_file_location(
-    "mutants", Path(__file__).resolve().parents[1] / "tools" / "mutants.py")
-mutants = sys.modules["mutants"] = importlib.util.module_from_spec(_mutants_spec)  # dataclasses look it up
+    "_lagdg_tools_mutants", Path(__file__).resolve().parents[1] / "tools" / "mutants.py")
+mutants = sys.modules["_lagdg_tools_mutants"] = importlib.util.module_from_spec(_mutants_spec)  # dataclasses look it up
 _mutants_spec.loader.exec_module(mutants)
 
 

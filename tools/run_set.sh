@@ -19,7 +19,7 @@
 # [--first-seed F] runs the benchmark in both checkouts in alternating pairs
 # on seeds F..F+N-1 and prints each end-to-end metric's medians, quartiles
 # and wins.
-# tools/mutants.py [--only NAME ...] applies each checked-in mutant to a
+# tools/mutants.py applies each checked-in mutant to a
 # git archive copy and runs the tests that must catch it.
 set -eu
 if [ $# -ne 1 ]; then
