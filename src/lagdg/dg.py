@@ -7,9 +7,8 @@ the midpoint come from one Legendre table over all degrees.  Interfaces
 use the characteristic upwind flux F(qm, qp) = A+ qm + A- qp; the same
 closure handles the physical boundaries through ghost states (Dirichlet
 data on incoming characteristics, interior trace on outgoing ones).
-The left closure is a linear map built once per operator, and so are
-the edge traces; the boundary states enter the interior neighbour
-blocks as the degree-0 coefficients of ghost elements.
+The left closure and the edge traces are built once per operator; the
+boundary states enter as the degree-0 coefficients of ghost elements.
 """
 
 from __future__ import annotations
@@ -144,10 +143,9 @@ class DGOperator:
     The closure is built once, and so are the edge traces kron(I, e_l^T)
     and kron(I, e_r^T) to an element's (d,) end values.  Each map is a
     C-contiguous transpose acting from the right on the rows of the
-    element-major array of shape blocks_shape.  rhs copies the rows into
-    a fresh zeroed array between two ghost rows whose degree-0 slots take
-    the boundary states; phi_0 = 1 at both ends, so lower and upper lift
-    their fluxes.  project, centers, right_trace and energy convert
+    element-major array of shape blocks_shape.  rhs pads the rows with two
+    ghost rows whose degree-0 slots (phi_0 = 1 at both ends) hold the
+    boundary states.  project, centers, right_trace and energy convert
     between the layout and the flat state, profiles, centres and energy.
     """
 
