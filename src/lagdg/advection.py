@@ -161,55 +161,48 @@ def _glr_poly_block_spectrum(beta: float, M: int) -> np.ndarray:
 
 
 def _nodal_operator(variant: SchemeVariant, beta: float, M: int, u: float) -> SemiDiscreteOperator:
+    # Assembled form u Om^-1 D Om, Om = diag(w), then per node family and
+    # direction, minus beta u I for the polynomial basis:
+    #   GL inflow    forcing u q_left Om^-1 h
+    #   GL outflow   + u Om^-1 h h^T
+    #   GLR inflow   boundary node eliminated: the trailing block, forced by it
+    #   GLR outflow  + (u / w_0) e0 e0^T
+    # Reading the weak form as integrated by parts puts D^T in place of D;
+    # for the GL polynomial outflow operator GL exactness then collapses it
+    # to -u D, which is nilpotent, and at beta = 1, M = 10 the function-basis
+    # GL outflow max Re lambda becomes -0.42 instead of +0.67 (80-digit
+    # values, see tests/test_mp_oracle.py).  PAPER.md does not settle which
+    # form the paper uses; this one is kept.
     rule = build_rule(variant.node_kind, variant.basis_kind, beta, M)
     D = build_diff_matrix(rule)
     w = _nodal_weights(rule)
     poly = variant.basis_kind == LAGUERRE_POLYNOMIALS
-    n = M + 1
-
+    q = variant.q_left
+    # the weight ratios of the polynomial forms overflow at large M, which
+    # assemble reports as a numerical failure
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = u * (D * (w[None, :] / w[:, None]))
+    g = np.zeros(M + 1)
+    dof_offset, exact = 0, None
     if variant.node_kind == NODES_GL:
-        # Assembled form, with Om = diag(w) the classical weights:
-        #   inflow   u Om^-1 D Om                   (+ forcing u q_left Om^-1 h)
-        #   outflow  u Om^-1 D Om + u Om^-1 h h^T
-        # minus beta u I for the polynomial basis.  Reading the weak form as
-        # integrated by parts puts D^T in place of D; for the polynomial
-        # outflow operator GL exactness then collapses it to -u D, which is
-        # nilpotent, and at beta = 1, M = 10 the function-basis outflow max
-        # Re lambda becomes -0.42 instead of +0.67 (80-digit values, see
-        # tests/test_mp_oracle.py).  PAPER.md does not settle which form the
-        # paper uses; this one is kept.
         h = cardinal_values_at_origin(rule)
-        conj = u * (D * (w[None, :] / w[:, None]))
         if variant.direction == INFLOW:
-            A = conj
-            g = u * variant.q_left * h / w
+            g = u * q * h / w
         else:
-            A = u * np.outer(h / w, h) + conj
-            g = np.zeros(n)
+            A += u * np.outer(h / w, h)
+    elif variant.direction == INFLOW:
+        A = A[1:, 1:]
+        g = w[0] * u * q * (D[0, 0] if poly else D[1:, 0]) / w[1:]
+        dof_offset = 1
         if poly:
-            A = A - beta * u * np.eye(n)
-        return SemiDiscreteOperator(A, g, dof_offset=0)
-
-    # GLR: the boundary node is eliminated for inflow, kept for outflow.
-    if variant.direction == INFLOW:
-        wi = w[1:]
-        A = u * (D[1:, 1:] * (wi[None, :] / wi[:, None]))
-        exact = None
-        if poly:
-            A = A - beta * u * np.eye(M)
-            g = w[0] * u * variant.q_left * D[0, 0] / wi
             exact = u * _glr_poly_block_spectrum(beta, M) - beta * u
-        else:
-            g = w[0] * u * variant.q_left * D[1:, 0] / wi
-        return SemiDiscreteOperator(A, g, dof_offset=1, exact_eigenvalues=exact)
-
-    A = u * (D * (w[None, :] / w[:, None]))
-    A[0, 0] += u / w[0]
-    exact = None
+    else:
+        A[0, 0] += u / w[0]
+        if poly:
+            exact = np.zeros(M + 1, dtype=complex)
     if poly:
-        A = A - beta * u * np.eye(n)
-        exact = np.zeros(n, dtype=complex)
-    return SemiDiscreteOperator(A, np.zeros(n), dof_offset=0, exact_eigenvalues=exact)
+        A = A - beta * u * np.eye(A.shape[0])
+    return SemiDiscreteOperator(A, g, dof_offset, exact_eigenvalues=exact)
 
 
 def assemble(variant: SchemeVariant, beta: float, M: int, u: float) -> SemiDiscreteOperator:

@@ -31,28 +31,29 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--override", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config key (repeatable)")
 
-    # the variant arguments of spectrum and operator; every dest is a config key
+    # the variant arguments of spectrum and operator; every dest is a config key.
+    # Here and in rule, an option left out (SUPPRESS) takes its scenario's default.
     variant = argparse.ArgumentParser(add_help=False)
     variant.add_argument("--form", required=True, choices=["strong", "nodal", "modal"])
     variant.add_argument("--basis", required=True, choices=["functions", "polynomials"])
-    variant.add_argument("--nodes", default="glr", choices=["gl", "glr"])
+    variant.add_argument("--nodes", default=argparse.SUPPRESS, choices=["gl", "glr"])
     variant.add_argument("--direction", required=True, choices=["inflow", "outflow"])
     variant.add_argument("--beta", type=float, required=True)
     variant.add_argument("--M", type=int, required=True)
-    variant.add_argument("--u", type=float, default=None)
+    variant.add_argument("--u", type=float, default=argparse.SUPPRESS)
 
     spec_p = sub.add_parser("spectrum", parents=[variant], help="eigenvalues of one discretization variant")
     spec_p.add_argument("--output", default="out")
 
     rule_p = sub.add_parser("rule", help="dump quadrature nodes and weights as CSV")
-    rule_p.add_argument("--nodes", default="gl", choices=["gl", "glr"])
-    rule_p.add_argument("--basis", default="polynomials", choices=["functions", "polynomials"])
-    rule_p.add_argument("--beta", type=float, default=1.0)
+    rule_p.add_argument("--nodes", default=argparse.SUPPRESS, choices=["gl", "glr"])
+    rule_p.add_argument("--basis", default=argparse.SUPPRESS, choices=["functions", "polynomials"])
+    rule_p.add_argument("--beta", type=float, default=argparse.SUPPRESS)
     rule_p.add_argument("--M", type=int, required=True)
     rule_p.add_argument("--output", default="out")
 
     op_p = sub.add_parser("operator", parents=[variant], help="dump the dense (A, g) pair of a variant")
-    op_p.add_argument("--q-left", type=float, default=1.0)
+    op_p.add_argument("--q-left", type=float, default=argparse.SUPPRESS)
     op_p.add_argument("--output", default="out")
 
     return parser

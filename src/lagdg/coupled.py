@@ -44,10 +44,6 @@ class SWEConfig:
     def wave_speed(self) -> float:
         return float(np.sqrt(self.grav * self.H))
 
-    @property
-    def max_speed(self) -> float:
-        return abs(self.U) + self.wave_speed
-
 
 def swe_system(cfg: SWEConfig) -> HyperbolicSystem:
     """d=2 system for (h, u): speeds U +- sqrt(g H), closed-form eigenvectors."""

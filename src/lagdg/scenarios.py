@@ -22,7 +22,7 @@ from .coupled import CoupledModel, SWEConfig, run_simulation, swe_system
 from .dg import DGOperator, Mesh1D
 from .diagnostics import energy_error, error_norms, reflection_ratio
 from .quadrature import build_rule
-from .semiinf import SigmoidDamping, default_rule, reconstruct, scalar_system
+from .semiinf import HyperbolicSystem, SigmoidDamping, default_rule, reconstruct, scalar_system
 from .spectrum import classify
 
 FLOAT_FORMAT = "%.8e"
@@ -134,33 +134,32 @@ def resolve_config(defaults: dict, cfg: dict, scenario: str) -> dict:
 
 
 class DGOnlyModel:
-    """DG on [0, length]; transmissive or solid-wall right boundary.
+    """DG on [0, length] for any hyperbolic system; transmissive right
+    boundary, or for shallow water a solid wall (reflect_right).
 
     left_bc and left_mask go to the DG operator, which owns the left
     boundary (see DGOperator).  The flat state holds the DG coefficients
     in the operator's layout.
     """
 
-    def __init__(self, cfg: SWEConfig, mesh: Mesh1D, p: int, left_bc=None, left_mask=None,
+    def __init__(self, system: HyperbolicSystem, mesh: Mesh1D, p: int, left_bc=None, left_mask=None,
                  reflect_right: bool = False):
-        self.cfg = cfg
-        self.mesh = mesh
         self.reflect_right = reflect_right
-        self.op = DGOperator(swe_system(cfg), mesh, p, left_bc, left_mask)
+        self.dg_op = DGOperator(system, mesh, p, left_bc, left_mask)
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        blocks = y.reshape(self.op.blocks_shape)
+        blocks = y.reshape(self.dg_op.blocks_shape)
         right = None
         if self.reflect_right:
-            tr = self.op.right_trace(blocks)
+            tr = self.dg_op.right_trace(blocks)
             right = np.array([tr[0], -tr[1]])
-        return self.op.rhs(blocks, t, right).ravel()
+        return self.dg_op.rhs(blocks, t, right).ravel()
 
-    def initial_state(self, h_fun, u_fun) -> np.ndarray:
-        return self.op.project([h_fun, u_fun])
+    def initial_state(self, *component_funcs) -> np.ndarray:
+        return self.dg_op.project(component_funcs)
 
     def centers_view(self, y: np.ndarray) -> np.ndarray:
-        return self.op.centers(y)
+        return self.dg_op.centers(y)
 
 
 # --------------------------------------------------------------------------
@@ -263,13 +262,14 @@ def _reference(cfg: dict, mesh: Mesh1D, n_elements: int, key: str, **kw) -> DGOn
     if n_elements < mesh.n_elements:
         raise ConfigError(f"{key} = {cfg[key]} gives a reference of {n_elements} elements, fewer than "
                           f"the {mesh.n_elements} of the coupled mesh on [0, {mesh.length:g}]")
-    return DGOnlyModel(_swe(cfg), Mesh1D(n_elements * mesh.dz, n_elements), int(cfg["p"]), **kw)
+    return DGOnlyModel(swe_system(_swe(cfg)), Mesh1D(n_elements * mesh.dz, n_elements), int(cfg["p"]), **kw)
 
 
 def _solve(model, y0: np.ndarray, dt: float, n_steps: int, n_cells: int):
-    """(yT, values at the first n_cells cell centres) after n_steps from t = 0."""
-    yT = run_simulation(model.rhs, y0, 0.0, dt, n_steps,
-                        max_speed=model.cfg.max_speed, min_dz=model.mesh.dz)
+    """(yT, values at the first n_cells cell centres) after n_steps from t = 0;
+    the CFL warning reads the speed and cell size of model.dg_op."""
+    op = model.dg_op
+    yT = run_simulation(model.rhs, y0, 0.0, dt, n_steps, max_speed=op.sys.max_speed, min_dz=op.mesh.dz)
     return yT, model.centers_view(yT)[:n_cells]
 
 
@@ -372,7 +372,7 @@ def _wavetrain_row(cfg: dict, amplitude: float, outdir: Path) -> dict:
     n = mesh.n_elements
     yT, num = _solve(model, model.initial_state(_zero, _zero), dt, n_steps, n)
     # the reference starts at rest: no need to project zero onto its long mesh
-    yr0 = np.zeros(ref.op.blocks_shape).ravel()
+    yr0 = np.zeros(ref.dg_op.blocks_shape).ravel()
     _, refv = _solve(ref, yr0, dt, n_steps, n)
 
     eh = error_norms(num[:, 0], refv[:, 0], relative=True)
@@ -415,7 +415,7 @@ def _absorption_row(cfg: dict, row, outdir: Path) -> dict:
     spec = BasisSpec("functions", beta, semi_nodes - 1)
 
     model = CoupledModel(swe, mesh, int(cfg["p"]), spec, damping=_damping(cfg))
-    wall = DGOnlyModel(swe, mesh, int(cfg["p"]), reflect_right=True)
+    wall = DGOnlyModel(swe_system(swe), mesh, int(cfg["p"]), reflect_right=True)
     ref = _reference(cfg, mesh, int(round(cfg["ref_length"] / mesh.dz)), "ref_length")
 
     h_fun = _gaussian(cfg["h1"], cfg["x0"], cfg["sigma"])
@@ -454,19 +454,12 @@ CONVERGENCE_DEFAULTS = {
 
 def dg_advection_error(u: float, p: int, nx: int, T: float, cfl: float) -> float:
     """L2 error of p-degree DG for q_t + u q_z = 0 with exact inflow data."""
-    sys = scalar_system(u)
     mesh = Mesh1D(1.0, nx)
     exact = lambda x, t: np.sin(2 * np.pi * (x - u * t))
-    op = DGOperator(sys, mesh, p, lambda t: np.array([exact(0.0, t)]), np.array([True]))
-
-    def rhs(t, y):
-        return op.rhs(y.reshape(op.blocks_shape), t, None).ravel()
-
+    model = DGOnlyModel(scalar_system(u), mesh, p, lambda t: np.array([exact(0.0, t)]), np.array([True]))
     dt, n_steps = _steps(T, cfl * mesh.dz / abs(u))
-    yT = run_simulation(rhs, op.project([lambda x: exact(x, 0.0)]), 0.0, dt, n_steps)
-    num = op.centers(yT)[:, 0]
-    ref = exact(mesh.centers, T)
-    return float(np.sqrt(mesh.dz * np.sum((num - ref) ** 2)))
+    _, num = _solve(model, model.initial_state(lambda x: exact(x, 0.0)), dt, n_steps, nx)
+    return float(np.sqrt(mesh.dz * np.sum((num[:, 0] - exact(mesh.centers, T)) ** 2)))
 
 
 def run_convergence(cfg: dict, outdir: Path) -> dict:

@@ -41,6 +41,11 @@ class HyperbolicSystem:
     def d(self) -> int:
         return self.a.shape[0]
 
+    @property
+    def max_speed(self) -> float:
+        """Largest characteristic speed max |lam|."""
+        return float(np.max(np.abs(self.eig[1])))
+
 
 def scalar_system(u: float) -> HyperbolicSystem:
     """Scalar advection q_t + u q_z = 0 as a d = 1 system."""

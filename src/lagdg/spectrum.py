@@ -20,18 +20,14 @@ class SpectrumReport:
 
 
 def eigenvalues(A: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a square real matrix.
-
-    Exactly triangular input short-circuits to the diagonal (its own Schur
-    form); everything else goes through LAPACK's balanced Hessenberg-QR.
-    """
+    """All eigenvalues of a square real matrix, from LAPACK's balanced
+    Hessenberg-QR.  Operators whose spectrum dense QR cannot resolve carry
+    it in closed form (SemiDiscreteOperator.exact_eigenvalues) instead."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix must be square, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix has non-finite entries")
-    if not np.any(np.triu(A, 1)) or not np.any(np.tril(A, -1)):
-        return np.diag(A).astype(complex)
     return np.linalg.eigvals(A)
 
 

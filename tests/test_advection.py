@@ -209,6 +209,25 @@ class TestApplyAndValidation:
         expect = np.array([beta * u * (q_left - q[:i].sum() - 0.5 * q[i]) for i in range(6)])
         assert op.A @ q + op.g == pytest.approx(expect, abs=1e-13)
 
+    # A constant equal to the inflow datum is a steady state: q_left times the
+    # first scaled polynomial (modal), or at every node (strong collocation).
+    @pytest.mark.parametrize("M", [0, 1, 5, 25, 50])
+    @pytest.mark.parametrize("beta", [0.25, 1.0, 2.0])
+    def test_modal_poly_inflow_keeps_the_datum_steady(self, beta, M):
+        q_left = 0.7
+        op = assemble(SchemeVariant("modal", "polynomials", direction=INFLOW, q_left=q_left), beta, M, 1.3)
+        c = np.zeros(M + 1)
+        c[0] = q_left
+        assert np.all(op.A @ c + op.g == 0.0)
+
+    @pytest.mark.parametrize("M", [1, 5, 10, 25, 50])
+    @pytest.mark.parametrize("beta", [0.25, 1.0, 2.0])
+    def test_strong_poly_inflow_keeps_the_datum_steady(self, beta, M):
+        # measured: at most 1.1e-15 max|A| on this grid
+        q_left = 0.7
+        op = assemble(SchemeVariant("strong", "polynomials", direction=INFLOW, q_left=q_left), beta, M, 1.3)
+        assert np.max(np.abs(op.A @ np.full(M, q_left) + op.g)) <= 1e-14 * np.max(np.abs(op.A))
+
     @pytest.mark.parametrize("form", ["strong", "nodal", "modal"])
     def test_order_above_supported_maximum_rejected(self, form):
         with pytest.raises(ValueError, match="exceeds the supported maximum"):

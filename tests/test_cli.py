@@ -233,10 +233,12 @@ class TestCliCommands:
             run_scenario({**parse_config_file(CONFIG_DIR / f"{config}.cfg"), **override}, out)
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["operator", "spectrum"])
     def test_non_finite_operator_is_a_numerical_failure(self, tmp_path, capsys, command):
         # the weight ratios of the nodal polynomial GL operator overflow at M = 180:
-        # exit 3 naming the variant, beta and M, and no output of the failed run
+        # exit 3 naming the variant, beta and M, no numpy warning on the way,
+        # and no output of the failed run
         out = tmp_path / "o"
         rc = main([command, "--form", "nodal", "--basis", "polynomials", "--nodes", "gl",
                    "--direction", "inflow", "--beta", "1", "--M", "180", "--output", str(out)])
@@ -324,6 +326,22 @@ class TestCliCommands:
         b1 = (tmp_path / "r1" / "eigenvalues.csv").read_bytes()
         b2 = (tmp_path / "r2" / "eigenvalues.csv").read_bytes()
         assert b1 == b2
+
+    @pytest.mark.parametrize("required, optional", [
+        (["rule", "--M", "4"], ["--nodes", "gl", "--basis", "polynomials", "--beta", "1.0"]),
+        (["spectrum", "--form", "nodal", "--basis", "functions", "--direction", "outflow", "--beta", "0.5",
+          "--M", "6"], ["--nodes", "glr", "--u", "-1.0"]),
+        (["operator", "--form", "strong", "--basis", "polynomials", "--direction", "inflow", "--beta", "0.5",
+          "--M", "6"], ["--nodes", "glr", "--u", "1.0", "--q-left", "1.0"]),
+    ])
+    def test_omitted_flags_take_the_scenario_defaults(self, tmp_path, required, optional):
+        # the spelled-out values are the scenario tables' defaults, so both
+        # runs resolve to the same manifest
+        manifests = []
+        for name, argv in (("omitted", required), ("spelled", required + optional)):
+            assert main(argv + ["--output", str(tmp_path / name)]) == 0
+            manifests.append(json.loads((tmp_path / name / "run_manifest.json").read_text()))
+        assert manifests[0] == manifests[1]
 
     def test_manifest_contains_defaults(self, tmp_path):
         run_scenario({"scenario": "rule", "M": 4}, tmp_path)

@@ -40,6 +40,13 @@ class TestSWESystem:
         c = np.sqrt(9.81)
         assert np.sort(lam) == pytest.approx([-c, c])
 
+    @pytest.mark.parametrize("H, U", [(1.0, 0.0), (2.3, 0.8), (2.3, -0.8), (0.7, 1e-3)])
+    def test_max_speed_is_background_plus_wave_speed(self, H, U):
+        # the CFL warning's speed, max |U +- c|, is |U| + c bit for bit
+        cfg = SWEConfig(H=H, U=U)
+        assert swe_system(cfg).max_speed == abs(U) + cfg.wave_speed
+        assert scalar_system(-1.5).max_speed == 1.5
+
     def test_no_damping_means_no_reaction(self):
         # damping is an argument of the modal operator only: neither the
         # parameters nor the system carry it, and a zero amplitude adds nothing
@@ -186,7 +193,7 @@ class TestCoupledRhs:
             with pytest.raises(ValueError):
                 small_model(**kw)
             with pytest.raises(ValueError):
-                DGOnlyModel(SWEConfig(), Mesh1D(10.0, 4), 1, **kw)
+                DGOnlyModel(swe_system(SWEConfig()), Mesh1D(10.0, 4), 1, **kw)
             with pytest.raises(ValueError):
                 DGOperator(swe_system(SWEConfig()), Mesh1D(10.0, 4), 1, **kw)
 
@@ -216,7 +223,7 @@ class TestCoupledRhs:
         semi_dot = dot[model._n_dg:]
         assert np.max(np.abs(semi_dot)) < 1e-10
 
-        single = DGOnlyModel(cfg, mesh, 1)
+        single = DGOnlyModel(swe_system(cfg), mesh, 1)
         y_dg = single.initial_state(h, z)
         dot_single = single.rhs(0.0, y_dg)
         assert dot[: model._n_dg] == pytest.approx(dot_single, abs=1e-10)
@@ -250,9 +257,9 @@ class TestCoupledRhs:
             energies.append(model.dg_op.energy(dg, (cfg.grav, cfg.H))
                             + semi_energy(semi, spec.beta, cfg.grav, cfg.H))
 
-        dt = 0.25 * mesh.dz / cfg.max_speed
+        dt = 0.25 * mesh.dz / swe_system(cfg).max_speed
         run_simulation(model.rhs, y, 0.0, dt, 150, observers=[obs],
-                       max_speed=cfg.max_speed, min_dz=mesh.dz)
+                       max_speed=swe_system(cfg).max_speed, min_dz=mesh.dz)
         e = np.array(energies)
         assert np.all(e[1:] <= e[:-1] * (1.0 + 1e-8))
 
@@ -263,7 +270,7 @@ class TestCoupledRhs:
         model_0, *_ = small_model()
         h = lambda x: 0.1 * np.exp(-(((x - 80.0) / 6.0) ** 2))
         z = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-        dt = 0.25 * mesh.dz / cfg.max_speed
+        dt = 0.25 * mesh.dz / swe_system(cfg).max_speed
         yd = run_simulation(model_d.rhs, model_d.initial_state(h, z), 0.0, dt, 400)
         y0 = run_simulation(model_0.rhs, model_0.initial_state(h, z), 0.0, dt, 400)
         total_d = semi_energy(model_d.split(yd)[1], spec.beta, cfg.grav, cfg.H)
@@ -370,7 +377,7 @@ class TestExactSolution:
             return np.array([0.5 * (right + left), c / (2.0 * cfg.H) * (right - left)])
 
         model = CoupledModel(cfg, Mesh1D(L, nx), p, spec)
-        n_steps = int(np.ceil(T / (0.1 * model.mesh.dz / cfg.max_speed)))
+        n_steps = int(np.ceil(T / (0.1 * model.mesh.dz / swe_system(cfg).max_speed)))
         yT = run_simulation(model.rhs, model.initial_state(f, lambda x: 0.0 * x), 0.0, T / n_steps, n_steps)
         dg_err = np.max(np.abs(model.centers_view(yT).T - exact(model.mesh.centers)), axis=1)
         z = default_rule(spec).nodes
@@ -423,7 +430,7 @@ class TestLayout:
     @pytest.mark.parametrize("p", [0, 1, 3])
     def test_dg_only_centers_match_projection(self, p):
         mesh = Mesh1D(100.0, 7)
-        model = DGOnlyModel(SWEConfig(), mesh, p)
+        model = DGOnlyModel(swe_system(SWEConfig()), mesh, p)
         y = model.initial_state(self.h, self.u)
         expect = eval_at_centers(project_dg([self.h, self.u], mesh, p))
         assert np.array_equal(model.centers_view(y), expect)
@@ -480,8 +487,8 @@ class TestCallContract:
         if kind == "masked-coupled":
             return CoupledModel(SWEConfig(), mesh, 1, spec, **forcing, damping=damping)
         if kind == "wall":
-            return DGOnlyModel(SWEConfig(), mesh, 1, reflect_right=True)
-        return DGOnlyModel(SWEConfig(), Mesh1D(4000.0, 40), 1)
+            return DGOnlyModel(swe_system(SWEConfig()), mesh, 1, reflect_right=True)
+        return DGOnlyModel(swe_system(SWEConfig()), Mesh1D(4000.0, 40), 1)
 
     @pytest.mark.parametrize("kind", ["coupled", "masked-coupled", "wall", "reference"])
     def test_calls_per_stage(self, kind, monkeypatch):

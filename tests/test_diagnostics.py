@@ -78,6 +78,10 @@ class TestReflectionRatio:
     def test_zero_error(self):
         assert reflection_ratio(0.0, 1e-3) == 0.0
 
+    def test_ratio_of_energies_is_square_rooted(self):
+        # away from 0 and 1, where the square root changes the value
+        assert reflection_ratio(1e-4, 1e-2) == pytest.approx(0.1)
+
     def test_scale_invariance(self):
         assert reflection_ratio(2e-6, 5e-3) == pytest.approx(reflection_ratio(2e-4, 5e-1))
 

@@ -55,6 +55,8 @@ _DENSE = "tests/test_semiinf.py::TestStructuredApply::test_undamped_matches_dens
 _EXACT = "tests/test_coupled.py::TestExactSolution::test_convergence_order"
 _CARDINAL = "tests/test_quadrature.py::TestCardinalBasis"
 _GHOST_ROWS = "tests/test_dg.py::test_ghost_rows_match_the_boundary_lifts"
+_ADV = "src/lagdg/advection.py"
+_DIAG = "src/lagdg/diagnostics.py"
 
 MUTANTS = (
     # the undamped structured apply of LaguerreModalOperator.rhs
@@ -108,17 +110,48 @@ MUTANTS = (
            ("tests/test_coupled.py::TestRK3::test_matches_the_stage_formula_bit_for_bit",
             "tests/test_coupled.py::TestRK3::test_third_order_convergence")),
     Mutant("wall-flip-no-sign", "src/lagdg/scenarios.py", "np.array([tr[0], -tr[1]])", "np.array([tr[0], tr[1]])",
-           ("tests/test_scenarios.py::TestDGOnlyModel::test_reflective_wall_reverses_velocity",)),
+           ("tests/test_scenarios.py::TestDGOnlyModel::test_reflective_wall_reverses_velocity",
+            "tests/test_scenarios.py::TestCoupledScenariosSmall::test_absorption_small_row")),
+    Mutant("convergence-no-inflow-mask", "src/lagdg/scenarios.py",
+           "np.array([exact(0.0, t)]), np.array([True]))", "np.array([exact(0.0, t)]), None)",
+           ("tests/test_dg.py::TestRhs::test_convergence_order_two",
+            "tests/test_scenarios.py::TestSmallScenarios::test_convergence_orders")),
     # the SWE system and the DG volume term (ROADMAP item 1's exact-solution oracle)
     Mutant("gravity-1.01", "src/lagdg/coupled.py", "H, U, g = cfg.H, cfg.U, cfg.grav\n    c = cfg.wave_speed",
            "H, U, g = cfg.H, cfg.U, 1.01 * cfg.grav\n    c = float(np.sqrt(g * H))",
            (_EXACT, "tests/test_coupled.py::TestSWESystem::test_characteristic_speeds")),
     Mutant("stiffness-1.01", "src/lagdg/dg.py", "np.kron(sys.a, stiffness_coupling(p))",
            "np.kron(sys.a, 1.01 * stiffness_coupling(p))", (_EXACT,)),
+    # the scalar operators, their spectra and the reported numbers
+    Mutant("gl-outflow-hh-half", _ADV, "A += u * np.outer(h / w, h)", "A += 0.5 * u * np.outer(h / w, h)",
+           ("tests/test_acceptance.py::test_criterion_1_stability_table",
+            "tests/test_mp_oracle.py::test_gl_outflow_matches_80_digit_assembly")),
+    Mutant("glr-nodal-outflow-corner-half", _ADV, "A[0, 0] += u / w[0]", "A[0, 0] += 0.5 * u / w[0]",
+           ("tests/test_advection.py::TestWeakNodal::test_glr_poly_outflow_is_nilpotent",)),
+    Mutant("glr-inflow-leading-block", _ADV, "A = A[1:, 1:]", "A = A[:-1, :-1]",
+           ("tests/test_advection.py::TestWeakNodal::test_glr_inflow_similarity_with_differentiation_block",
+            "tests/test_advection.py::TestWeakNodal::test_glr_function_inflow_spectrum_matches_collocation")),
+    Mutant("modal-poly-inflow-g-half", _ADV, "g = beta * u * variant.q_left * ones",
+           "g = 0.5 * beta * u * variant.q_left * ones",
+           ("tests/test_advection.py::TestApplyAndValidation::test_modal_poly_inflow_keeps_the_datum_steady",)),
+    Mutant("classify-tol-1e-3", "src/lagdg/spectrum.py", "DEFAULT_STABILITY_TOL = 1e-8",
+           "DEFAULT_STABILITY_TOL = 1e-3",
+           ("tests/test_acceptance.py::test_criterion_1_stability_table",
+            "tests/test_spectrum.py::TestClassify::test_collocation_poly_outflow_unstable")),
+    Mutant("energy-no-grav", _DIAG, "grav * (h - h_ref) ** 2", "(h - h_ref) ** 2",
+           ("tests/test_diagnostics.py::TestEnergyError::test_single_sample",
+            "tests/test_diagnostics.py::TestEnergyError::test_direct_summation_oracle")),
+    Mutant("rel-e2-by-n1", _DIAG, "e1 / n1, e2 / n2, einf / ninf", "e1 / n1, e2 / n1, einf / ninf",
+           ("tests/test_diagnostics.py::TestErrorNorms::test_relative_homogeneity",)),
+    Mutant("rr-no-sqrt", _DIAG, "np.sqrt(e_en / e_en_wall)", "e_en / e_en_wall",
+           ("tests/test_diagnostics.py::TestReflectionRatio::test_ratio_of_energies_is_square_rooted",)),
+    Mutant("cli-numerical-exit-2", "src/lagdg/cli.py", "EXIT_NUMERICAL = 3", "EXIT_NUMERICAL = 2",
+           ("tests/test_cli.py::TestCliCommands::test_non_finite_operator_is_a_numerical_failure",
+            "tests/test_cli.py::TestCliCommands::test_numerical_failure_exit_code")),
     # known survivor: no shipped table can see the isotropic layer
     Mutant("dgamma-ignored", "src/lagdg/scenarios.py", 'SigmoidDamping(cfg["dgamma"],', "SigmoidDamping(0.0,",
            ("tests/test_scenarios.py::TestCoupledScenariosSmall",),
-           survivor="an isotropic layer sends nothing back, so no table can see it (ROADMAP item 2)"),
+           survivor="an isotropic layer sends nothing back, so no table can see it (ROADMAP item 1)"),
 )
 
 
