@@ -87,24 +87,17 @@ class SemiDiscreteOperator:
 
 
 def _modal_operator(variant: SchemeVariant, beta: float, M: int, u: float) -> SemiDiscreteOperator:
-    n = M + 1
-    ones = np.ones(n)
-    if variant.basis_kind == LAGUERRE_FUNCTIONS:
-        # the scalar case of the coupled solver's Laguerre operator, whose K
-        # already feeds the outgoing trace back into every mode for u < 0
-        op = LaguerreModalOperator(scalar_system(u), BasisSpec(LAGUERRE_FUNCTIONS, beta, M))
-        A = op.K
-        g = beta * op.a_plus[0, 0] * variant.q_left * ones
-        exact = np.full(n, -0.5 * beta * abs(u), dtype=complex)
-    else:
-        if variant.direction == INFLOW:
-            A = -beta * u * np.tril(np.ones((n, n)))
-            g = beta * u * variant.q_left * ones
-            exact = np.full(n, -beta * u, dtype=complex)
-        else:
-            A = beta * u * np.triu(np.ones((n, n)), 1)
-            g = np.zeros(n)
-            exact = np.zeros(n, dtype=complex)
+    # the scalar case of the coupled solver's Laguerre operator, whose K
+    # already feeds the outgoing trace back into every mode for u < 0.
+    # L_j(beta z) = e^{beta z / 2} Lhat_j(z), so the polynomial coefficients
+    # obey the same system shifted by -beta u / 2 I, with the same forcing.
+    op = LaguerreModalOperator(scalar_system(u), BasisSpec(LAGUERRE_FUNCTIONS, beta, M))
+    A = op.K
+    g = beta * op.a_plus[0, 0] * variant.q_left * np.ones(M + 1)
+    exact = np.full(M + 1, -0.5 * beta * abs(u), dtype=complex)
+    if variant.basis_kind == LAGUERRE_POLYNOMIALS:
+        A[np.diag_indices(M + 1)] -= 0.5 * beta * u
+        exact -= 0.5 * beta * u
     return SemiDiscreteOperator(A, g, dof_offset=0, exact_eigenvalues=exact)
 
 

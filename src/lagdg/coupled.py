@@ -88,14 +88,9 @@ class CoupledModel:
     goes to the modal operator: the finite domain always runs undamped.
     """
 
-    def __init__(self, cfg: SWEConfig, mesh: Mesh1D, p: int, spec: BasisSpec,
+    def __init__(self, system: HyperbolicSystem, mesh: Mesh1D, p: int, spec: BasisSpec,
                  left_bc: Callable | None = None, left_mask=None,
                  damping: SigmoidDamping | None = None):
-        self.cfg = cfg
-        self.mesh = mesh
-        self.p = p
-        self.spec = spec
-        system = swe_system(cfg)
         self.dg_op = DGOperator(system, mesh, p, left_bc, left_mask)
         self.semi_op = LaguerreModalOperator(system, spec, damping)
         self._n_dg = int(np.prod(self.dg_op.blocks_shape))
@@ -112,11 +107,11 @@ class CoupledModel:
         semi_dot = self.semi_op.rhs(semi, t, dg_trace)
         return np.concatenate([dg_dot.ravel(), semi_dot.ravel()])
 
-    def initial_state(self, h_fun, u_fun) -> np.ndarray:
-        """Flat state of (h, u) profiles given in the physical coordinate."""
-        L = self.mesh.length
-        dg = self.dg_op.project([h_fun, u_fun])
-        semi = project_semi([lambda z: h_fun(z + L), lambda z: u_fun(z + L)], self.spec)
+    def initial_state(self, *component_funcs) -> np.ndarray:
+        """Flat state of the d component profiles, given in the physical coordinate."""
+        L = self.dg_op.mesh.length
+        dg = self.dg_op.project(component_funcs)
+        semi = project_semi([lambda z, f=f: f(z + L) for f in component_funcs], self.semi_op.spec)
         return np.concatenate([dg, semi.ravel()])
 
     def centers_view(self, y: np.ndarray) -> np.ndarray:

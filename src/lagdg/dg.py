@@ -189,6 +189,8 @@ class DGOperator:
 
     def project(self, component_funcs) -> np.ndarray:
         """Flat element-major coefficients of the L2 projection (project_dg)."""
+        if len(component_funcs) != self.sys.d:
+            raise ValueError(f"{len(component_funcs)} profiles given for a {self.sys.d}-component system")
         return project_dg(component_funcs, self.mesh, self.p).ravel()
 
     def centers(self, y: np.ndarray) -> np.ndarray:

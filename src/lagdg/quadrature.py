@@ -144,7 +144,7 @@ def _unit_rule(node_kind: str, M: int) -> tuple[np.ndarray, np.ndarray]:
     else:
         x = np.concatenate(([0.0], _glr_unit(M)))
         # w_j e^{x_j} = 1 / [(M+1) (e^{-x/2} L_M(x_j))^2]
-        damped = laguerre_fun_table(M, x)[M] if M > 0 else np.ones_like(x)
+        damped = laguerre_fun_table(M, x)[M]
         weights = 1.0 / (n * damped**2)
     x.flags.writeable = False
     weights.flags.writeable = False

@@ -144,6 +144,8 @@ class DGOnlyModel:
 
     def __init__(self, system: HyperbolicSystem, mesh: Mesh1D, p: int, left_bc=None, left_mask=None,
                  reflect_right: bool = False):
+        if reflect_right and system.d != 2:
+            raise ValueError(f"a solid wall flips the velocity of (h, u); got a {system.d}-component system")
         self.reflect_right = reflect_right
         self.dg_op = DGOperator(system, mesh, p, left_bc, left_mask)
 
@@ -222,12 +224,12 @@ def run_operator(cfg: dict, outdir: Path) -> dict:
 
 
 def _snapshot_csv(outdir: Path, name: str, model: CoupledModel, y: np.ndarray) -> None:
-    centers = model.mesh.centers
+    mesh, spec = model.dg_op.mesh, model.semi_op.spec
     vals = model.centers_view(y)
-    rows = [(x, vals[i, 0], vals[i, 1]) for i, x in enumerate(centers)]
-    rule = default_rule(model.spec)
-    semi_vals = reconstruct(model.split(y)[1], model.spec, rule.nodes)
-    rows += [(model.mesh.length + z, semi_vals[0, i], semi_vals[1, i]) for i, z in enumerate(rule.nodes)]
+    rows = [(x, vals[i, 0], vals[i, 1]) for i, x in enumerate(mesh.centers)]
+    rule = default_rule(spec)
+    semi_vals = reconstruct(model.split(y)[1], spec, rule.nodes)
+    rows += [(mesh.length + z, semi_vals[0, i], semi_vals[1, i]) for i, z in enumerate(rule.nodes)]
     write_csv(outdir / name, ["x", "h", "u"], rows)
 
 
@@ -296,7 +298,7 @@ def _validation_row(cfg: dict, direction: str, h1: float, sigma: float,
                     outdir: Path) -> dict:
     mesh = Mesh1D(cfg["L"], int(cfg["nx"]))
     spec = BasisSpec("functions", float(cfg["beta"]), int(cfg["semi_nodes"]) - 1)
-    model = CoupledModel(_swe(cfg), mesh, int(cfg["p"]), spec)
+    model = CoupledModel(swe_system(_swe(cfg)), mesh, int(cfg["p"]), spec)
     ref = _reference(cfg, mesh, int(round(cfg["ref_length"] / mesh.dz)), "ref_length")
 
     ingoing = direction == "ingoing"
@@ -363,7 +365,7 @@ def _wavetrain_row(cfg: dict, amplitude: float, outdir: Path) -> dict:
 
     dt, n_steps = _steps(cfg["T"], cfg["cfl"] * mesh.dz / c)
 
-    model = CoupledModel(swe, mesh, int(cfg["p"]), spec, left_bc=left_bc, left_mask=mask,
+    model = CoupledModel(swe_system(swe), mesh, int(cfg["p"]), spec, left_bc=left_bc, left_mask=mask,
                          damping=_damping(cfg))
     ref_len = cfg["L"] + c * cfg["T"] + cfg["ref_margin"]
     ref = _reference(cfg, mesh, int(np.ceil(ref_len / mesh.dz)), "ref_margin",
@@ -414,8 +416,9 @@ def _absorption_row(cfg: dict, row, outdir: Path) -> dict:
     mesh = Mesh1D(cfg["D"], nx)
     spec = BasisSpec("functions", beta, semi_nodes - 1)
 
-    model = CoupledModel(swe, mesh, int(cfg["p"]), spec, damping=_damping(cfg))
-    wall = DGOnlyModel(swe_system(swe), mesh, int(cfg["p"]), reflect_right=True)
+    system = swe_system(swe)
+    model = CoupledModel(system, mesh, int(cfg["p"]), spec, damping=_damping(cfg))
+    wall = DGOnlyModel(system, mesh, int(cfg["p"]), reflect_right=True)
     ref = _reference(cfg, mesh, int(round(cfg["ref_length"] / mesh.dz)), "ref_length")
 
     h_fun = _gaussian(cfg["h1"], cfg["x0"], cfg["sigma"])

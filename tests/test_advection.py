@@ -67,6 +67,24 @@ class TestModalVariants:
             # no outgoing characteristic, so nothing is added: -beta u * 0 stays -0.0
             assert np.all(np.signbit(K[np.triu_indices(M + 1, 1)]))
 
+    @pytest.mark.parametrize("M", [0, 1, 2, 5, 10, 25, 50, 120, 180, 200])
+    @pytest.mark.parametrize("direction", [INFLOW, OUTFLOW])
+    def test_poly_pair_is_the_function_pair_shifted(self, direction, M):
+        # L_j(beta z) = e^{beta z / 2} Lhat_j(z): the polynomial coefficients
+        # obey the function-basis system minus beta u / 2 I, with the same
+        # forcing, so the exact eigenvalues -beta |u| / 2 move to -beta u
+        # (inflow) and 0 (outflow)
+        for beta in (0.0025, 0.25, 1.0, 2.0):
+            for speed in (1.0, 2.5):
+                u = speed if direction == INFLOW else -speed
+                for q_left in (0.0, 1.0, -0.7):
+                    fun, poly = (assemble(SchemeVariant("modal", basis, direction=direction, q_left=q_left),
+                                          beta, M, u) for basis in ("functions", "polynomials"))
+                    assert np.array_equal(poly.A, fun.A - 0.5 * beta * u * np.eye(M + 1))
+                    assert np.array_equal(poly.g, fun.g)
+                    expect = -beta * u if direction == INFLOW else 0.0
+                    assert np.array_equal(poly.exact_eigenvalues, np.full(M + 1, expect, dtype=complex))
+
     def test_poly_outflow_strictly_upper(self):
         op = assemble(SchemeVariant("modal", "polynomials", direction=OUTFLOW), 1.0, 2, -1.0)
         assert op.A == pytest.approx(-np.triu(np.ones((3, 3)), 1))

@@ -177,7 +177,7 @@ def small_model(damping=None, left_bc=None, left_mask=None):
     cfg = SWEConfig()
     mesh = Mesh1D(100.0, 25)
     spec = BasisSpec("functions", 0.05, 14)
-    return CoupledModel(cfg, mesh, 1, spec, left_bc, left_mask, damping), cfg, mesh, spec
+    return CoupledModel(swe_system(cfg), mesh, 1, spec, left_bc, left_mask, damping), cfg, mesh, spec
 
 
 class TestCoupledRhs:
@@ -240,7 +240,7 @@ class TestCoupledRhs:
         dg_dot = DGOperator(sys, mesh, 1).rhs(dg.reshape(10, -1), 0.0, semi.sum(axis=1))
         semi_dot = LaguerreModalOperator(sys, spec).rhs(semi, 0.0, dg[-1] @ edge_values(1)[1])
 
-        model = CoupledModel(cfg, mesh, 1, spec)
+        model = CoupledModel(sys, mesh, 1, spec)
         y = np.concatenate([dg.ravel(), semi.ravel()])
         dot = model.rhs(0.0, y)
         assert dot == pytest.approx(np.concatenate([dg_dot.ravel(), semi_dot.ravel()]), abs=1e-13)
@@ -291,7 +291,7 @@ class TestCoupledRhs:
         period = 50.0 / cfg.wave_speed
         left_bc = lambda t: np.array([0.0, 0.05 * np.sin(2 * np.pi * t / period)])
         damping = SigmoidDamping(dgamma=0.1, alpha=0.1, sigma_over_l0=0.05) if damped else None
-        model = CoupledModel(cfg, mesh, 1, spec, left_bc=left_bc, left_mask=np.array([False, True]),
+        model = CoupledModel(swe_system(cfg), mesh, 1, spec, left_bc=left_bc, left_mask=np.array([False, True]),
                              damping=damping)
         z = lambda x: np.zeros_like(np.asarray(x, dtype=float))
         dt = 0.3 * mesh.dz / cfg.wave_speed
@@ -376,10 +376,10 @@ class TestExactSolution:
             right, left = f(x - (U + c) * T), f(x - (U - c) * T)
             return np.array([0.5 * (right + left), c / (2.0 * cfg.H) * (right - left)])
 
-        model = CoupledModel(cfg, Mesh1D(L, nx), p, spec)
-        n_steps = int(np.ceil(T / (0.1 * model.mesh.dz / swe_system(cfg).max_speed)))
+        model = CoupledModel(swe_system(cfg), Mesh1D(L, nx), p, spec)
+        n_steps = int(np.ceil(T / (0.1 * model.dg_op.mesh.dz / swe_system(cfg).max_speed)))
         yT = run_simulation(model.rhs, model.initial_state(f, lambda x: 0.0 * x), 0.0, T / n_steps, n_steps)
-        dg_err = np.max(np.abs(model.centers_view(yT).T - exact(model.mesh.centers)), axis=1)
+        dg_err = np.max(np.abs(model.centers_view(yT).T - exact(model.dg_op.mesh.centers)), axis=1)
         z = default_rule(spec).nodes
         z = z[z < 10000.0]
         semi_err = np.max(np.abs(reconstruct(model.split(yT)[1], spec, z) - exact(L + z)), axis=1)
@@ -392,6 +392,33 @@ class TestExactSolution:
         dg_order, semi_order = np.log2(dg1 / dg2), np.log2(semi1 / semi2)
         assert np.all((p + 0.9 < dg_order) & (dg_order < p + 1.4)), (dg1, dg2, dg_order)
         assert np.all((p + 0.9 < semi_order) & (semi_order < 3.4)), (semi1, semi2, semi_order)
+
+
+class TestScalarModelProblem:
+    """The paper's model problem q_t + u q_z = 0 on [0, inf), split at
+    L = 10 into DG (nx = 100, p = 2) and Laguerre functions (beta = 4,
+    M = 80), against the exact translate f(x - u t) of a unit Gaussian
+    (sigma = 1) after T = 6 at CFL 0.1 (600 steps).  For u = +1 a pulse
+    starting at x = 5 leaves through the interface; the left boundary
+    takes the exact inflow data.  For u = -1 a pulse starting at x = 15
+    in the Laguerre part enters the DG part.  Measured max |error| at the
+    DG cell centres: 7.6e-6 (u = +1) and 1.7e-5 (u = -1); at the GLR
+    nodes with z < 10: 3.8e-6 and 2.7e-6.  The bounds are about twice
+    the larger of each pair."""
+
+    @pytest.mark.parametrize("u,x0", [(1.0, 5.0), (-1.0, 15.0)], ids=["leaves", "enters"])
+    def test_pulse_crosses_the_interface(self, u, x0):
+        L, T = 10.0, 6.0
+        f = lambda x: np.exp(-((np.asarray(x) - x0) ** 2))
+        inflow = {"left_bc": lambda t: np.array([f(-u * t)]), "left_mask": np.array([True])} if u > 0 else {}
+        spec = BasisSpec("functions", 4.0, 80)
+        model = CoupledModel(scalar_system(u), Mesh1D(L, 100), 2, spec, **inflow)
+        yT = run_simulation(model.rhs, model.initial_state(f), 0.0, T / 600, 600)
+        centers = model.dg_op.mesh.centers
+        assert np.max(np.abs(model.centers_view(yT)[:, 0] - f(centers - u * T))) <= 4e-5
+        z = default_rule(spec).nodes
+        z = z[z < L]
+        assert np.max(np.abs(reconstruct(model.split(yT)[1], spec, z)[0] - f(L + z - u * T))) <= 1e-5
 
 
 class TestLayout:
@@ -419,13 +446,21 @@ class TestLayout:
 
     @pytest.mark.parametrize("p", [0, 1, 3])
     def test_coupled_split_views_the_flat_state(self, p):
-        model = CoupledModel(SWEConfig(), Mesh1D(100.0, 7), p, BasisSpec("functions", 0.05, 9))
+        model = CoupledModel(swe_system(SWEConfig()), Mesh1D(100.0, 7), p, BasisSpec("functions", 0.05, 9))
         y = model.initial_state(self.h, self.u)
         dg, semi = model.split(y)
         assert np.shares_memory(dg, y) and np.shares_memory(semi, y)
         assert np.array_equal(dg.ravel(), model.dg_op.project([self.h, self.u]))
         assert semi.shape == (2, 10)
-        assert np.array_equal(model.centers_view(y), eval_at_centers(project_dg([self.h, self.u], model.mesh, p)))
+        assert np.array_equal(model.centers_view(y), eval_at_centers(project_dg([self.h, self.u], model.dg_op.mesh, p)))
+
+    def test_one_profile_per_component(self):
+        mesh, spec, swe = Mesh1D(100.0, 7), BasisSpec("functions", 0.05, 9), swe_system(SWEConfig())
+        for model in (CoupledModel(swe, mesh, 1, spec), DGOnlyModel(swe, mesh, 1),
+                      CoupledModel(scalar_system(1.0), mesh, 1, spec)):
+            d = model.dg_op.sys.d
+            with pytest.raises(ValueError, match=f"{3 - d} profiles given for a {d}-component system"):
+                model.initial_state(*[self.h] * (3 - d))
 
     @pytest.mark.parametrize("p", [0, 1, 3])
     def test_dg_only_centers_match_projection(self, p):
@@ -446,7 +481,7 @@ class TestEnergies:
         # the p = 1 projection of a linear profile is exact; on [0, L]
         # integral (a + b x)^2 dx = a^2 L + a b L^2 + b^2 L^3 / 3
         L = 10.0
-        model = CoupledModel(self.cfg, Mesh1D(L, 8), 1, BasisSpec("functions", 0.5, 6))
+        model = CoupledModel(swe_system(self.cfg), Mesh1D(L, 8), 1, BasisSpec("functions", 0.5, 6))
         y = model.initial_state(lambda x: 0.3 + 0.02 * x, lambda x: -0.1 + 0.05 * x)
         square = lambda a, b: a * a * L + a * b * L ** 2 + b * b * L ** 3 / 3.0
         expect = 0.5 * (self.cfg.grav * square(0.3, 0.02) + self.cfg.H * square(-0.1, 0.05))
@@ -483,9 +518,9 @@ class TestCallContract:
         forcing = dict(left_bc=lambda t: np.array([0.0, 0.01 * np.sin(0.1 * t)]),
                        left_mask=np.array([False, True]))
         if kind == "coupled":
-            return CoupledModel(SWEConfig(), mesh, 1, spec, damping=damping)
+            return CoupledModel(swe_system(SWEConfig()), mesh, 1, spec, damping=damping)
         if kind == "masked-coupled":
-            return CoupledModel(SWEConfig(), mesh, 1, spec, **forcing, damping=damping)
+            return CoupledModel(swe_system(SWEConfig()), mesh, 1, spec, **forcing, damping=damping)
         if kind == "wall":
             return DGOnlyModel(swe_system(SWEConfig()), mesh, 1, reflect_right=True)
         return DGOnlyModel(swe_system(SWEConfig()), Mesh1D(4000.0, 40), 1)

@@ -87,15 +87,16 @@ def reference_modal_rhs(sys, spec, coeffs, boundary_g, damping=None):
     return out
 
 
-def reference_coupled_rhs(model, t, y, left_bc, mask, damping):
-    n_dg, n = model._n_dg, model.mesh.n_elements
+def reference_coupled_rhs(cfg, mesh, p, spec, t, y, left_bc, mask, damping):
+    n = mesh.n_elements
+    n_dg = n * 2 * (p + 1)
     # the flat DG part is element-major: (n, d(p+1))
-    dg = y[:n_dg].reshape(n, 2, model.p + 1)
-    semi = y[n_dg:].reshape(2, model.spec.M + 1)
+    dg = y[:n_dg].reshape(n, 2, p + 1)
+    semi = y[n_dg:].reshape(2, spec.M + 1)
     values = left_bc(t) if left_bc is not None else None
-    sys = swe_system(model.cfg)
-    dg_dot = reference_dg_rhs(sys, model.mesh, model.p, dg, values, mask, semi.sum(axis=1))
-    semi_dot = reference_modal_rhs(sys, model.spec, semi, dg[-1] @ edge_values(model.p)[1], damping)
+    sys = swe_system(cfg)
+    dg_dot = reference_dg_rhs(sys, mesh, p, dg, values, mask, semi.sum(axis=1))
+    semi_dot = reference_modal_rhs(sys, spec, semi, dg[-1] @ edge_values(p)[1], damping)
     return np.concatenate([dg_dot.ravel(), semi_dot.ravel()])
 
 
@@ -196,6 +197,7 @@ def test_coupled_rhs_matches_reference(p, case):
     cfg, damping = SWE_CASES[case]
     spec = BasisSpec("functions", 0.05, 14)
     for bc, mask in ((None, None), (left_bc, MASK_U)):
-        model = CoupledModel(cfg, Mesh1D(100.0, 11), p, spec, left_bc=bc, left_mask=mask, damping=damping)
+        mesh = Mesh1D(100.0, 11)
+        model = CoupledModel(swe_system(cfg), mesh, p, spec, left_bc=bc, left_mask=mask, damping=damping)
         y = np.random.default_rng(p + 10).normal(size=model._n_dg + 2 * 15)
-        assert_close(model.rhs(0.7, y), reference_coupled_rhs(model, 0.7, y, bc, mask, damping))
+        assert_close(model.rhs(0.7, y), reference_coupled_rhs(cfg, mesh, p, spec, 0.7, y, bc, mask, damping))

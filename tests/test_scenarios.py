@@ -13,6 +13,7 @@ from lagdg.scenarios import (
 )
 from lagdg.coupled import SWEConfig, swe_system
 from lagdg.dg import Mesh1D
+from lagdg.semiinf import scalar_system
 
 
 class TestCsvFormat:
@@ -128,6 +129,12 @@ class TestDGOnlyModel:
         assert mesh.centers[i] == pytest.approx(80.0, abs=3.0)
         # reflected wave is a left-mover: u has opposite sign to h
         assert np.sign(vals[i, 1]) == -np.sign(vals[i, 0])
+
+    def test_wall_needs_a_two_component_system(self):
+        # the wall flips component 1 of the right trace, which a scalar system lacks
+        with pytest.raises(ValueError, match="1-component"):
+            DGOnlyModel(scalar_system(1.0), Mesh1D(1.0, 4), 1, reflect_right=True)
+        DGOnlyModel(scalar_system(1.0), Mesh1D(1.0, 4), 1).rhs(0.0, np.zeros(8))
 
 
 class TestBenchmarkHooks:

@@ -1,5 +1,6 @@
 """tools/run_set_diff.py on small hand-made output trees, tools/bench_pairs.py
-on hand-made results, and the benchmark's hooks on the lagdg modules."""
+on hand-made results (workload and Tier-1), and the benchmark's hooks on the
+lagdg modules."""
 
 import importlib.util
 import json
@@ -123,6 +124,37 @@ def test_bench_pairs_runs_consecutive_seeds_in_alternating_order(monkeypatch, ca
                      ("P", "w", 13), ("C", "w", 13)]
     out = capsys.readouterr().out
     assert out.startswith("workload w, seeds 11..13,") and "3 pairs; every run correct: True" in out
+
+
+def _tier1(wall_s, passed=683, ok=True):
+    return {"wall_s": wall_s, "passed": passed, "ok": ok}
+
+
+def test_bench_pairs_tier1_summary():
+    # the change is faster in pairs 1 and 3; one of its runs has a test more
+    pairs = [(_tier1(40.0), _tier1(38.0)), (_tier1(42.0), _tier1(44.0, 684)), (_tier1(50.0), _tier1(41.0))]
+    lines, ok = bench_pairs.summarize_tier1(pairs)
+    assert ok and lines == [
+        "3 pairs; every run passed: True",
+        "parent: wall_s 42 [40, 50]  passed 683",
+        "change: wall_s 41 [38, 44]  passed 683, 684",
+        "change/parent 0.9762  change faster in 2/3",
+    ]
+    lines, ok = bench_pairs.summarize_tier1(pairs + [(_tier1(40.0, None, ok=False), _tier1(40.0))])
+    assert not ok and lines[0] == "4 pairs; every run passed: False" and lines[1].endswith("passed 683, None")
+
+
+def test_bench_pairs_tier1_alternates_and_fails_on_a_failed_run(monkeypatch, capsys):
+    calls = []
+
+    def run_tier1(checkout):
+        calls.append(str(checkout))
+        return _tier1(1.0, ok=str(checkout) == "P")
+
+    monkeypatch.setattr(bench_pairs, "run_tier1", run_tier1)
+    assert bench_pairs.main(["P", "C", "--tier1", "--pairs", "2"]) == 1
+    assert calls == ["P", "C", "C", "P"]
+    assert "2 pairs; every run passed: False" in capsys.readouterr().out
 
 
 # The benchmark rebinds lagdg functions by name; a decorator that hides a

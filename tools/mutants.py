@@ -131,9 +131,15 @@ MUTANTS = (
     Mutant("glr-inflow-leading-block", _ADV, "A = A[1:, 1:]", "A = A[:-1, :-1]",
            ("tests/test_advection.py::TestWeakNodal::test_glr_inflow_similarity_with_differentiation_block",
             "tests/test_advection.py::TestWeakNodal::test_glr_function_inflow_spectrum_matches_collocation")),
-    Mutant("modal-poly-inflow-g-half", _ADV, "g = beta * u * variant.q_left * ones",
-           "g = 0.5 * beta * u * variant.q_left * ones",
-           ("tests/test_advection.py::TestApplyAndValidation::test_modal_poly_inflow_keeps_the_datum_steady",)),
+    Mutant("modal-poly-inflow-g-half", _ADV, "g = beta * op.a_plus[0, 0] * variant.q_left",
+           "g = 0.5 * beta * op.a_plus[0, 0] * variant.q_left",
+           ("tests/test_advection.py::TestApplyAndValidation::test_modal_poly_inflow_keeps_the_datum_steady",
+            "tests/test_advection.py::TestModalVariants::test_function_matrix_and_forcing_against_mode_coupling")),
+    Mutant("modal-poly-shift-dropped", _ADV, "A[np.diag_indices(M + 1)] -= 0.5 * beta * u", "pass",
+           ("tests/test_advection.py::TestModalVariants::test_poly_pair_is_the_function_pair_shifted",
+            "tests/test_advection.py::TestApplyAndValidation::test_modal_poly_inflow_keeps_the_datum_steady",
+            "tests/test_acceptance.py::test_criterion_2_exact_modal_spectra"),
+           also=(("exact -= 0.5 * beta * u", "pass"),)),
     Mutant("classify-tol-1e-3", "src/lagdg/spectrum.py", "DEFAULT_STABILITY_TOL = 1e-8",
            "DEFAULT_STABILITY_TOL = 1e-3",
            ("tests/test_acceptance.py::test_criterion_1_stability_table",

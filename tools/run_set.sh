@@ -18,7 +18,7 @@
 # For speed, tools/bench_pairs.py PARENT CHANGE --workload W [--pairs N]
 # [--first-seed F] runs the benchmark in both checkouts in alternating pairs
 # on seeds F..F+N-1 and prints each end-to-end metric's medians, quartiles
-# and wins.
+# and wins; with --tier1 in place of --workload it times Tier-1 the same way.
 # tools/mutants.py applies each checked-in mutant to a
 # git archive copy and runs the tests that must catch it.
 set -eu
