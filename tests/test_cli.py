@@ -356,13 +356,15 @@ class TestCliCommands:
             capture_output=True, text=True)
         assert proc.returncode == 0
 
-    def test_lapack_failure_exits_3(self, cold_unit_rules, monkeypatch, tmp_path, capsys):
-        # LinAlgError subclasses ValueError; it must still count as numerical
+    def test_lapack_failure_exits_3(self, monkeypatch, tmp_path, capsys):
+        # LinAlgError subclasses ValueError; it must still count as numerical.
+        # This variant has no closed-form spectrum, so it reaches eigvals.
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigh", fail)
-        assert main(["rule", "--M", "10", "--output", str(tmp_path)]) == 3
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        assert main(["spectrum", "--form", "strong", "--basis", "functions", "--nodes", "glr",
+                     "--direction", "inflow", "--beta", "1.0", "--M", "10", "--output", str(tmp_path)]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
     def test_cli_import_loads_no_scipy(self):

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,14 +108,20 @@ class TestRuleConstruction:
         assert main(["rule", "--basis", "polynomials", "--M", "194", "--output", str(tmp_path)]) == 3
 
 
+_gen_spec = importlib.util.spec_from_file_location(
+    "make_unit_nodes", Path(__file__).resolve().parents[1] / "tools" / "make_unit_nodes.py")
+make_unit_nodes = importlib.util.module_from_spec(_gen_spec)
+_gen_spec.loader.exec_module(make_unit_nodes)
+
+
 def glr_unit_per_node(M):
-    """Reference: the GLR Newton solve one node at a time.
+    """Reference: the generator's GLR Newton solve one node at a time.
 
     Same brackets, start, bracket update, bisection fallback and stopping
-    test as ``quadrature._glr_unit``, on scalars.
+    test as ``make_unit_nodes.glr_unit``, on scalars.
     """
     n = M + 1
-    gl_nodes = quadrature._gl_unit(n)
+    gl_nodes = make_unit_nodes.gl_unit(n)
 
     def dval(x):
         tab = laguerre_poly_table(n, np.asarray(x))
@@ -126,7 +134,7 @@ def glr_unit_per_node(M):
         lo, hi = gl_nodes[k], gl_nodes[k + 1]
         flo, _ = dval(lo)
         x = 0.5 * (lo + hi)
-        for _ in range(quadrature._NEWTON_MAXIT):
+        for _ in range(make_unit_nodes._NEWTON_MAXIT):
             f, fp = dval(x)
             if np.sign(f) == np.sign(flo):
                 lo = x
@@ -135,7 +143,7 @@ def glr_unit_per_node(M):
             x_new = x - f / fp
             if not lo < x_new < hi:
                 x_new = 0.5 * (lo + hi)
-            if abs(x_new - x) <= quadrature._NEWTON_TOL * max(abs(x), 1.0):
+            if abs(x_new - x) <= make_unit_nodes._NEWTON_TOL * max(abs(x), 1.0):
                 x = x_new
                 break
             x = x_new
@@ -169,13 +177,32 @@ class TestGolubWelsch:
 class TestGLRNewton:
     @pytest.mark.parametrize("M", [*range(1, 41), 180])
     def test_bit_identical_to_per_node_solve(self, M):
-        assert np.array_equal(quadrature._glr_unit(M), glr_unit_per_node(M))
+        assert np.array_equal(make_unit_nodes.glr_unit(M), glr_unit_per_node(M))
 
-    def test_non_convergence_raises_and_exits_3(self, cold_unit_rules, monkeypatch, tmp_path):
-        monkeypatch.setattr(quadrature, "_NEWTON_MAXIT", 2)
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(make_unit_nodes, "_NEWTON_MAXIT", 2)
         with pytest.raises(RuntimeError, match="did not converge for M=20"):
-            build_rule("glr", "functions", 1.0, 20)
-        assert main(["rule", "--nodes", "glr", "--M", "20", "--output", str(tmp_path)]) == 3
+            make_unit_nodes.glr_unit(20)
+
+
+class TestUnitNodeTable:
+    # every order a shipped config or benchmark workload builds
+    @pytest.mark.parametrize("M", [*range(0, 51), 180, 200])
+    def test_table_equals_the_generator(self, M):
+        assert quadrature._gl_unit(M + 1).tobytes() == make_unit_nodes.gl_unit(M + 1).tobytes()
+        if M >= 1:
+            assert quadrature._glr_unit(M).tobytes() == make_unit_nodes.glr_unit(M).tobytes()
+
+    def test_short_table_is_refused(self, monkeypatch, tmp_path):
+        short = tmp_path / "unit_nodes.npy"
+        np.save(short, quadrature._unit_nodes()[:-1])
+        monkeypatch.setattr(quadrature, "_UNIT_NODES", short)
+        quadrature._unit_nodes.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="not the rules M <= 200"):
+                quadrature._unit_nodes()
+        finally:
+            quadrature._unit_nodes.cache_clear()
 
 
 class TestUnitRuleCache:

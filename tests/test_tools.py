@@ -1,15 +1,18 @@
 """tools/run_set_diff.py on small hand-made output trees, tools/bench_pairs.py
-on hand-made results (workload and Tier-1), and the benchmark's hooks on the
-lagdg modules."""
+on hand-made results (workload and Tier-1), tools/make_unit_nodes.py --check
+on the shipped node table and a corrupted copy, and the benchmark's hooks on
+the lagdg modules."""
 
 import importlib.util
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 _spec = importlib.util.spec_from_file_location(
@@ -175,6 +178,28 @@ def test_benchmark_hooks_install_on_lagdg(hook):
     proc = subprocess.run([sys.executable, "-c", _HOOKS[hook]], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
+
+
+def test_make_unit_nodes_check_finds_one_flipped_bit(tmp_path):
+    # --check regenerates every rule; a copy of the tool and the package with
+    # one node's last bit flipped must fail it, the shipped table must not
+    root = Path(__file__).resolve().parents[1]
+    shutil.copytree(root / "src" / "lagdg", tmp_path / "src" / "lagdg",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (tmp_path / "tools").mkdir()
+    shutil.copy(root / "tools" / "make_unit_nodes.py", tmp_path / "tools")
+    table_path = tmp_path / "src" / "lagdg" / "unit_nodes.npy"
+    table = np.load(table_path)
+    table.view(np.uint64)[12345] ^= 1
+    np.save(table_path, table)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    procs = [subprocess.Popen([sys.executable, str(checkout / "tools" / "make_unit_nodes.py"), "--check"],
+                              stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env)
+             for checkout in (root, tmp_path)]   # both at once: each takes seconds
+    (shipped, _), (flipped, _) = (proc.communicate(timeout=120) for proc in procs)
+    assert procs[0].returncode == 0 and shipped.endswith(": identical\n"), shipped
+    assert procs[1].returncode == 1, flipped
+    assert "entry 12345 is" in flipped and flipped.endswith(": 1 differences\n")
 
 
 _mutants_spec = importlib.util.spec_from_file_location(

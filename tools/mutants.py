@@ -54,6 +54,7 @@ _FOLDED = "tests/test_operator_oracle.py::test_folded_operator_matches_reference
 _DENSE = "tests/test_semiinf.py::TestStructuredApply::test_undamped_matches_dense_operator"
 _EXACT = "tests/test_coupled.py::TestExactSolution::test_convergence_order"
 _CARDINAL = "tests/test_quadrature.py::TestCardinalBasis"
+_TABLE = "tests/test_quadrature.py::TestUnitNodeTable::test_table_equals_the_generator"
 _GHOST_ROWS = "tests/test_dg.py::test_ghost_rows_match_the_boundary_lifts"
 _ADV = "src/lagdg/advection.py"
 _DIAG = "src/lagdg/diagnostics.py"
@@ -81,6 +82,13 @@ MUTANTS = (
     Mutant("feedback-beta-dropped", _SEMI, "(beta * self.a_minus)[:, None, :, None]",
            "self.a_minus[:, None, :, None]",
            (_FOLDED, "tests/test_advection.py::TestBetaScaling::test_operator_scales_with_beta")),
+    # the slices of the generated unit-node table
+    Mutant("table-gl-start-off-by-one", "src/lagdg/quadrature.py", "start = n * (n - 1) // 2",
+           "start = n * (n - 1) // 2 + 1",
+           (_TABLE, "tests/test_quadrature.py::TestRuleConstruction::test_gl_moments_factorial")),
+    Mutant("table-glr-start-off-by-one", "src/lagdg/quadrature.py", "start = _GL_SIZE + M * (M - 1) // 2",
+           "start = _GL_SIZE + M * (M - 1) // 2 + 1",
+           (_TABLE, "tests/test_quadrature.py::TestRuleConstruction::test_glr_exact_to_degree_2m")),
     # the basis tables and the cardinal values at the origin
     Mutant("cardinal-cumprod-axis-0", "src/lagdg/quadrature.py", "np.cumprod(ratio, axis=1)",
            "np.cumprod(ratio, axis=0)", (_CARDINAL, "tests/test_mp_oracle.py::test_gl_outflow_matches_80_digit_assembly")),
