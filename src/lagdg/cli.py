@@ -1,7 +1,8 @@
 """Command-line experiment runner.
 
 Subcommands ``rule``, ``operator`` and ``spectrum`` inspect individual
-discretization objects; ``run`` executes a scenario described by a flat
+discretization objects, one ``--KEY VALUE`` option per key of their
+scenario's defaults table; ``run`` executes a scenario described by a flat
 key = value config file.  Exit codes: 0 success, 2 configuration error,
 3 numerical failure.
 """
@@ -14,11 +15,16 @@ import sys
 
 import numpy as np
 
-from .scenarios import ConfigError, parse_config_file, parse_value, run_scenario
+from .scenarios import SCENARIOS, ConfigError, parse_config_file, parse_value, run_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+
+INSPECTORS = {"spectrum": "eigenvalues of one discretization variant",
+              "rule": "dump quadrature nodes and weights as CSV",
+              "operator": "dump the dense (A, g) pair of a variant"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -31,31 +37,14 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--override", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config key (repeatable)")
 
-    # the variant arguments of spectrum and operator; every dest is a config key.
-    # Here and in rule, an option left out (SUPPRESS) takes its scenario's default.
-    variant = argparse.ArgumentParser(add_help=False)
-    variant.add_argument("--form", required=True, choices=["strong", "nodal", "modal"])
-    variant.add_argument("--basis", required=True, choices=["functions", "polynomials"])
-    variant.add_argument("--nodes", default=argparse.SUPPRESS, choices=["gl", "glr"])
-    variant.add_argument("--direction", required=True, choices=["inflow", "outflow"])
-    variant.add_argument("--beta", type=float, required=True)
-    variant.add_argument("--M", type=int, required=True)
-    variant.add_argument("--u", type=float, default=argparse.SUPPRESS)
-
-    spec_p = sub.add_parser("spectrum", parents=[variant], help="eigenvalues of one discretization variant")
-    spec_p.add_argument("--output", default="out")
-
-    rule_p = sub.add_parser("rule", help="dump quadrature nodes and weights as CSV")
-    rule_p.add_argument("--nodes", default=argparse.SUPPRESS, choices=["gl", "glr"])
-    rule_p.add_argument("--basis", default=argparse.SUPPRESS, choices=["functions", "polynomials"])
-    rule_p.add_argument("--beta", type=float, default=argparse.SUPPRESS)
-    rule_p.add_argument("--M", type=int, required=True)
-    rule_p.add_argument("--output", default="out")
-
-    op_p = sub.add_parser("operator", parents=[variant], help="dump the dense (A, g) pair of a variant")
-    op_p.add_argument("--q-left", type=float, default=argparse.SUPPRESS)
-    op_p.add_argument("--output", default="out")
-
+    # an inspection subcommand is its scenario: one --KEY VALUE per key of its defaults
+    # table, parsed and checked like a config value; a flag left out takes its default
+    for name, help_text in INSPECTORS.items():
+        defaults = SCENARIOS[name].defaults
+        p = sub.add_parser(name, help=help_text, description=f"{help_text}; defaults {json.dumps(defaults)}")
+        for key in defaults:
+            p.add_argument("--" + key.replace("_", "-"), type=parse_value, default=argparse.SUPPRESS)
+        p.add_argument("--output", default="out", help="output directory")
     return parser
 
 
@@ -72,18 +61,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            cfg = parse_config_file(args.config)
-            cfg = _apply_overrides(cfg, args.override)
-            if "scenario" not in cfg:
-                raise ConfigError("config file must set 'scenario'")
-            summary = run_scenario(cfg, args.output)
-            print(json.dumps({"scenario": cfg["scenario"], "output": str(args.output),
-                              "summary_keys": sorted(summary)}, sort_keys=True))
+            cfg = _apply_overrides(parse_config_file(args.config), args.override)
         else:
-            # spectrum, rule, operator: the subcommand is the scenario
             cfg = {k: v for k, v in vars(args).items() if k not in ("command", "output")}
-            summary = run_scenario({**cfg, "scenario": args.command}, args.output)
-            print(json.dumps(summary, sort_keys=True))
+            cfg["scenario"] = args.command
+        summary = run_scenario(cfg, args.output)
+        if args.command == "run":
+            summary = {"scenario": cfg["scenario"], "output": str(args.output), "summary_keys": sorted(summary)}
+        print(json.dumps(summary, sort_keys=True))
     # LinAlgError subclasses ValueError, so the numerical clause comes first
     except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

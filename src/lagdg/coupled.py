@@ -24,6 +24,10 @@ from .dg import DGOperator, Mesh1D
 from .semiinf import HyperbolicSystem, LaguerreModalOperator, SigmoidDamping, project as project_semi
 
 CFL_WARN = 0.4  # advisory bound: run_simulation warns above it
+# Subnormal state entries are zeroed every FLUSH_EVERY steps: a precursor that decays
+# through the subnormal range ahead of a wave slows every step, and numpy has no
+# flush-to-zero switch.  The cadence is measured in ROADMAP item 5.
+FLUSH_EVERY = 10
 
 
 @dataclass(frozen=True)
@@ -122,7 +126,7 @@ class CoupledModel:
 def run_simulation(rhs: Callable, y0: np.ndarray, t0: float, dt: float, n_steps: int,
                    observers=(), max_speed: float | None = None,
                    min_dz: float | None = None) -> np.ndarray:
-    """Advance n_steps RK3 steps; observers are called as f(step, t, y).
+    """Advance n_steps RK3 steps; observers are called as f(step, t, y), after any flush.
 
     The CFL check is advisory: a warning above CFL_WARN, not an error, so
     runs can match externally prescribed step counts exactly.
@@ -140,6 +144,8 @@ def run_simulation(rhs: Callable, y0: np.ndarray, t0: float, dt: float, n_steps:
     for step in range(1, n_steps + 1):
         y = rk3_step(rhs, y, t, dt)
         t = t0 + step * dt
+        if step % FLUSH_EVERY == 0:
+            np.copyto(y, 0.0, where=np.abs(y) < np.finfo(float).tiny)
         for obs in observers:
             obs(step, t, y)
     return y

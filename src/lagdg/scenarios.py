@@ -95,16 +95,17 @@ def _integral(value) -> bool:
     return _kind(value) == "number" and float(value).is_integer()
 
 
-def _read_as_int(key: str) -> bool:
-    """Keys the runners read through int(...); a list key's elements are."""
-    return key in ("M", "nx", "p", "semi_nodes", "nx_list") or key.startswith("nt_")
+def _whole(default) -> bool:
+    """True for a default of a key read through int(...): an int or a list of ints, not a bool."""
+    first = default[0] if isinstance(default, list) else default
+    return isinstance(first, int) and not isinstance(first, bool)
 
 
 def resolve_config(defaults: dict, cfg: dict, scenario: str) -> dict:
     """Defaults updated by cfg, each value checked against its default's
     kind: a list takes one or more elements of its default's first
-    element's kind, a None default takes None or a number, and an
-    int-read key takes whole numbers only."""
+    element's kind, a None default takes None or a number, and a key
+    with an int default takes whole numbers only."""
     unknown = [k for k in cfg if k not in defaults and k != "scenario"]
     if unknown:
         raise ConfigError(f"unknown keys for scenario {scenario!r}: {unknown}")
@@ -124,7 +125,7 @@ def resolve_config(defaults: dict, cfg: dict, scenario: str) -> dict:
                 raise ConfigError(f"{where} takes a number or null; got {v!r}")
         elif _kind(v) != _kind(default):
             raise ConfigError(f"{where} takes a {_kind(default)}; got {v!r}")
-        if _read_as_int(k) and not all(_integral(x) for x in (v if isinstance(v, list) else [v])):
+        if _whole(default) and not all(_integral(x) for x in (v if isinstance(v, list) else [v])):
             raise ConfigError(f"{where} takes whole numbers; got {v!r}")
     return {**defaults, **{k: v for k, v in cfg.items() if k in defaults}, "scenario": scenario}
 
@@ -224,13 +225,13 @@ def run_operator(cfg: dict, outdir: Path) -> dict:
 
 
 def _snapshot_csv(outdir: Path, name: str, model: CoupledModel, y: np.ndarray) -> None:
+    """x, then one column per component: h, u for shallow water, q0, q1, ... otherwise."""
     mesh, spec = model.dg_op.mesh, model.semi_op.spec
-    vals = model.centers_view(y)
-    rows = [(x, vals[i, 0], vals[i, 1]) for i, x in enumerate(mesh.centers)]
-    rule = default_rule(spec)
-    semi_vals = reconstruct(model.split(y)[1], spec, rule.nodes)
-    rows += [(mesh.length + z, semi_vals[0, i], semi_vals[1, i]) for i, z in enumerate(rule.nodes)]
-    write_csv(outdir / name, ["x", "h", "u"], rows)
+    nodes = default_rule(spec).nodes
+    x = np.concatenate([mesh.centers, mesh.length + nodes])
+    vals = np.vstack([model.centers_view(y), reconstruct(model.split(y)[1], spec, nodes).T])
+    names = ["h", "u"] if vals.shape[1] == 2 else [f"q{c}" for c in range(vals.shape[1])]
+    write_csv(outdir / name, ["x", *names], np.column_stack([x, vals]))
 
 
 def _gaussian(h1: float, x0: float, sigma: float):
@@ -342,7 +343,7 @@ def run_coupling_validation(cfg: dict, outdir: Path) -> dict:
 WAVETRAIN_DEFAULTS = {
     "L": 5000.0, "nx": 600, "p": 1, "semi_nodes": 30, "beta": 0.0143,
     "H": 1.0, "U": 0.0, "grav": 9.81,
-    "amplitude_list": [0.025, 0.05], "wavenumber": 30,
+    "amplitude_list": [0.025, 0.05], "wavenumber": 30.0,
     "T": 5000.0, "cfl": 0.3333333333333333,
     "dgamma": 0.1, "alpha": 0.1, "sigma_over_l0": 0.05,
     "ref_margin": 500.0,

@@ -1,3 +1,5 @@
+import argparse
+import ast
 import json
 import os
 import subprocess
@@ -8,13 +10,31 @@ import numpy as np
 import pytest
 
 from lagdg import scenarios
-from lagdg.cli import main
+from lagdg.cli import INSPECTORS, build_parser, main
 from lagdg.scenarios import SCENARIOS, ConfigError, parse_config_file, run_scenario
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO / "configs"
 LIST_KEYS = [(name, key) for name, scenario in SCENARIOS.items()
              for key, default in scenario.defaults.items() if isinstance(default, list)]
+# (config, key, value): a value of the wrong kind for its key, or a fraction
+# where the code reads an int
+MISTYPED_KEYS = [
+    ("coupling_validation", "L", '"abc"'),
+    ("absorption_main", "H", "null"),
+    ("rule_example", "M", "[3]"),
+    ("rule_example", "M", "1.5"),
+    ("rule_example", "M", "true"),
+    ("rule_example", "nodes", "3"),
+    ("spectrum_modal_functions_outflow", "u", '"fast"'),
+    ("wavetrain_15nodes", "write_snapshots", "1"),
+    ("wavetrain_15nodes", "nx", "600.5"),
+    ("convergence_dg", "p", "1.5"),
+    ("convergence_dg", "nx_list", "[50, 100.5]"),
+    ("coupling_validation", "semi_nodes", "180.5"),
+    ("coupling_validation", "nt_ingoing", "2.5"),
+    ("absorption_main", "rows", "[[40, 400.5, 600, 0.0035714285714285713]]"),
+]
 
 
 class TestConfigParsing:
@@ -137,22 +157,7 @@ class TestCliCommands:
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "o" / "results.csv").exists()
 
-    @pytest.mark.parametrize("config, key, value", [
-        ("coupling_validation", "L", '"abc"'),
-        ("absorption_main", "H", "null"),
-        ("rule_example", "M", "[3]"),
-        ("rule_example", "M", "1.5"),
-        ("rule_example", "M", "true"),
-        ("rule_example", "nodes", "3"),
-        ("spectrum_modal_functions_outflow", "u", '"fast"'),
-        ("wavetrain_15nodes", "write_snapshots", "1"),
-        ("wavetrain_15nodes", "nx", "600.5"),
-        ("convergence_dg", "p", "1.5"),
-        ("convergence_dg", "nx_list", "[50, 100.5]"),
-        ("coupling_validation", "semi_nodes", "180.5"),
-        ("coupling_validation", "nt_ingoing", "2.5"),
-        ("absorption_main", "rows", "[[40, 400.5, 600, 0.0035714285714285713]]"),
-    ])
+    @pytest.mark.parametrize("config, key, value", MISTYPED_KEYS)
     def test_mistyped_scalar_keys_are_config_errors(self, tmp_path, capsys, config, key, value):
         # each value has the wrong kind for its key, or a fraction where the code
         # reads an int: exit 2 naming the key, before any output is written
@@ -267,11 +272,12 @@ class TestCliCommands:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("args", [
+        # an option value parses like a config value: JSON spells them NaN and Infinity
         ["spectrum", "--form", "modal", "--basis", "functions", "--direction", "inflow",
-         "--beta", "1", "--M", "10", "--u", "nan"],
+         "--beta", "1", "--M", "10", "--u", "NaN"],
         ["spectrum", "--form", "modal", "--basis", "functions", "--direction", "inflow",
-         "--beta", "inf", "--M", "10"],
-        ["rule", "--nodes", "glr", "--basis", "functions", "--beta", "inf", "--M", "10"],
+         "--beta", "Infinity", "--M", "10"],
+        ["rule", "--nodes", "glr", "--basis", "functions", "--beta", "Infinity", "--M", "10"],
         ["run", "--config", str(CONFIG_DIR / "wavetrain_15nodes.cfg"), "--override", "T=Infinity"],
         ["run", "--config", str(CONFIG_DIR / "wavetrain_15nodes.cfg"), "--override", "beta=Infinity"],
         ["run", "--config", str(CONFIG_DIR / "absorption_main.cfg"), "--override",
@@ -373,6 +379,113 @@ class TestCliCommands:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": str(REPO / "src")}, check=True)
         assert proc.stdout.strip() == "[]"
+
+
+def _scenario_of(config: str) -> str:
+    return parse_config_file(CONFIG_DIR / f"{config}.cfg")["scenario"]
+
+
+# the config-key error cases of an inspection scenario, and a few more
+# for the non-finite, whole-number, empty-list and dashed-name paths
+FLAG_CASES = [c for c in MISTYPED_KEYS if _scenario_of(c[0]) in INSPECTORS] + [
+    ("spectrum_modal_functions_outflow", "u", "NaN"),
+    ("spectrum_modal_functions_outflow", "u", "nan"),
+    ("spectrum_modal_functions_outflow", "beta", "Infinity"),
+    ("rule_example", "beta", "Infinity"),
+    ("rule_example", "M", "[]"),
+    ("operator_example", "M", "2.5"),
+    ("operator_example", "q_left", '"x"'),
+    ("operator_example", "direction", "sideways"),
+]
+
+
+def _subparser(name: str) -> argparse.ArgumentParser:
+    actions = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return actions[0].choices[name]
+
+
+class TestInspectionFlags:
+    """spectrum, rule and operator take one --KEY VALUE per key of their
+    scenario, parsed and checked like a config value."""
+
+    @pytest.mark.parametrize("name", sorted(INSPECTORS))
+    def test_flags_are_the_scenario_keys_plus_output(self, name):
+        flags = {opt: a.dest for a in _subparser(name)._actions for opt in a.option_strings
+                 if opt not in ("-h", "--help")}
+        expect = {"--" + key.replace("_", "-"): key for key in SCENARIOS[name].defaults}
+        assert flags == {**expect, "--output": "output"}
+
+    def test_run_keeps_config_override_and_output(self):
+        flags = {opt for a in _subparser("run")._actions for opt in a.option_strings}
+        assert flags == {"-h", "--help", "--config", "--override", "--output"}
+
+    @pytest.mark.parametrize("config, key, value", FLAG_CASES)
+    def test_flag_and_override_spellings_fail_alike(self, tmp_path, capsys, config, key, value):
+        errs = []
+        for argv in (["run", "--config", str(CONFIG_DIR / f"{config}.cfg"), "--override", f"{key}={value}"],
+                     [_scenario_of(config), "--" + key.replace("_", "-"), value]):
+            assert main(argv + ["--output", str(tmp_path / "o")]) == 2
+            errs.append(capsys.readouterr().err)
+            assert not (tmp_path / "o").exists()
+        assert errs[0].startswith("configuration error: ")
+        assert errs[0] == errs[1]
+
+    def test_whole_float_order_resolves_from_a_flag(self, tmp_path):
+        assert main(["rule", "--M", "3.0", "--output", str(tmp_path)]) == 0
+        assert len((tmp_path / "rule.csv").read_text().splitlines()) == 1 + 4
+
+    def test_spectrum_without_flags_runs_the_defaults(self, tmp_path):
+        assert main(["spectrum", "--output", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        # the default direction is outflow, whose default speed is -1
+        assert manifest == {**scenarios.SPECTRUM_DEFAULTS, "u": -1.0, "scenario": "spectrum"}
+        assert len((tmp_path / "eigenvalues.csv").read_text().splitlines()) == 1 + 51
+
+    def test_unknown_form_is_a_config_error(self, tmp_path, capsys):
+        assert main(["spectrum", "--form", "bogus", "--output", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "configuration error: unknown form 'bogus'\n"
+        assert not (tmp_path / "o").exists()
+
+
+def _int_read_keys() -> set:
+    """Config keys scenarios.py reads through int(cfg[...]) or int(n) for n
+    in cfg[...]; an f-string key f"nt_{d}" gives the pattern "nt_*"."""
+    def key(node):
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) and node.value.id == "cfg":
+            if isinstance(node.slice, ast.Constant):
+                return node.slice.value
+            if isinstance(node.slice, ast.JoinedStr) and isinstance(node.slice.values[0], ast.Constant):
+                return node.slice.values[0].value + "*"
+        return None
+
+    def int_of(node):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "int"
+                and len(node.args) == 1):
+            return node.args[0]
+        return None
+
+    keys = set()
+    for node in ast.walk(ast.parse(Path(scenarios.__file__).read_text())):
+        keys.add(key(int_of(node)))
+        if isinstance(node, (ast.ListComp, ast.GeneratorExp)) and isinstance(int_of(node.elt), ast.Name):
+            gen = node.generators[0]
+            if isinstance(gen.target, ast.Name) and gen.target.id == int_of(node.elt).id:
+                keys.add(key(gen.iter))
+    return keys - {None}
+
+
+def test_whole_number_keys_are_the_keys_read_as_ints():
+    # resolve_config requires whole numbers exactly for the keys with an int
+    # default; the runners read exactly those through int(...)
+    read = _int_read_keys()
+    assert {"M", "nx", "nt_*", "nx_list"} <= read
+    defaults = [(key, default) for s in SCENARIOS.values() for key, default in s.defaults.items()]
+    matched = {pattern: {key for key, _ in defaults if key == pattern
+                         or (pattern.endswith("*") and key.startswith(pattern[:-1]))} for pattern in read}
+    assert all(matched.values()), matched
+    read_keys = set().union(*matched.values())
+    assert all(scenarios._whole(default) for key, default in defaults if key in read_keys)
+    assert {key for key, default in defaults if scenarios._whole(default)} == read_keys
 
 
 class TestShippedConfigs:

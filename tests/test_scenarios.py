@@ -11,9 +11,10 @@ from lagdg.scenarios import (
     run_scenario,
     write_csv,
 )
-from lagdg.coupled import SWEConfig, swe_system
+from lagdg.basis import BasisSpec
+from lagdg.coupled import CoupledModel, SWEConfig, swe_system
 from lagdg.dg import Mesh1D
-from lagdg.semiinf import scalar_system
+from lagdg.semiinf import default_rule, scalar_system
 
 
 class TestCsvFormat:
@@ -104,6 +105,21 @@ class TestCoupledScenariosSmall:
         xs = np.array([float(l.split(",")[0]) for l in lines[1:]])
         assert np.all(np.diff(xs) > 0)
         assert xs[50] == pytest.approx(1000.0)  # first semi sample at the interface
+
+    def test_snapshot_of_a_scalar_coupled_model(self, tmp_path):
+        # x, then one column per component; exp(-x) is the first Laguerre
+        # function at beta = 2, so the semi-infinite samples are exact
+        spec = BasisSpec("functions", 2.0, 6)
+        model = CoupledModel(scalar_system(1.0), Mesh1D(1.0, 5), 1, spec)
+        scenarios._snapshot_csv(tmp_path, "s.csv", model, model.initial_state(lambda x: np.exp(-x)))
+        lines = (tmp_path / "s.csv").read_text().splitlines()
+        assert lines[0] == "x,q0"
+        data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        n_semi = default_rule(spec).n
+        assert data.shape == (5 + n_semi, 2)
+        assert data[5:, 0] == pytest.approx(1.0 + default_rule(spec).nodes)
+        assert data[:5, 1] == pytest.approx(np.exp(-data[:5, 0]), rel=1e-2)
+        assert data[5:, 1] == pytest.approx(np.exp(-data[5:, 0]), rel=1e-7)
 
 
 class TestDGOnlyModel:

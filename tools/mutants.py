@@ -58,6 +58,10 @@ _TABLE = "tests/test_quadrature.py::TestUnitNodeTable::test_table_equals_the_gen
 _GHOST_ROWS = "tests/test_dg.py::test_ghost_rows_match_the_boundary_lifts"
 _ADV = "src/lagdg/advection.py"
 _DIAG = "src/lagdg/diagnostics.py"
+_SCEN = "src/lagdg/scenarios.py"
+_ENERGY = "tests/test_dg_energy.py::test_energy_rate_is_the_face_dissipation_plus_the_boundary_fluxes"
+_FLAGS = "tests/test_cli.py::TestInspectionFlags::test_flag_and_override_spellings_fail_alike"
+_MISTYPED = "tests/test_cli.py::TestCliCommands::test_mistyped_scalar_keys_are_config_errors"
 
 MUTANTS = (
     # the undamped structured apply of LaguerreModalOperator.rhs
@@ -119,7 +123,7 @@ MUTANTS = (
             "tests/test_coupled.py::TestRK3::test_third_order_convergence")),
     Mutant("wall-flip-no-sign", "src/lagdg/scenarios.py", "np.array([tr[0], -tr[1]])", "np.array([tr[0], tr[1]])",
            ("tests/test_scenarios.py::TestDGOnlyModel::test_reflective_wall_reverses_velocity",
-            "tests/test_scenarios.py::TestCoupledScenariosSmall::test_absorption_small_row")),
+            "tests/test_scenarios.py::TestCoupledScenariosSmall::test_absorption_small_row", _ENERGY)),
     Mutant("convergence-no-inflow-mask", "src/lagdg/scenarios.py",
            "np.array([exact(0.0, t)]), np.array([True]))", "np.array([exact(0.0, t)]), None)",
            ("tests/test_dg.py::TestRhs::test_convergence_order_two",
@@ -129,7 +133,20 @@ MUTANTS = (
            "H, U, g = cfg.H, cfg.U, 1.01 * cfg.grav\n    c = float(np.sqrt(g * H))",
            (_EXACT, "tests/test_coupled.py::TestSWESystem::test_characteristic_speeds")),
     Mutant("stiffness-1.01", "src/lagdg/dg.py", "np.kron(sys.a, stiffness_coupling(p))",
-           "np.kron(sys.a, 1.01 * stiffness_coupling(p))", (_EXACT,)),
+           "np.kron(sys.a, 1.01 * stiffness_coupling(p))", (_EXACT, _ENERGY)),
+    # the upwind fluxes and the left closure, seen by the DG energy identity
+    Mutant("dg-upper-sign", "src/lagdg/dg.py", "self.upper = -np.kron(am", "self.upper = np.kron(am",
+           (_ENERGY, "tests/test_dg.py::TestRhs::test_constant_state_is_steady")),
+    Mutant("dg-outflow-edge-half", "src/lagdg/dg.py", "- np.kron(ap, np.outer(er, er))",
+           "- 0.5 * np.kron(ap, np.outer(er, er))",
+           (_ENERGY, "tests/test_dg.py::TestRhs::test_p0_reduces_to_upwind_finite_volume")),
+    Mutant("closure-outgoing-sign", "src/lagdg/dg.py", "= -s_inv @ V[np.ix_(mask, ~incoming)]",
+           "= s_inv @ V[np.ix_(mask, ~incoming)]",
+           (_ENERGY, "tests/test_dg.py::TestTraceAndGhost::test_ghost_imposes_velocity")),
+    # subnormals are zeroed on a cadence in run_simulation
+    Mutant("flush-never-fires", "src/lagdg/coupled.py", "if step % FLUSH_EVERY == 0:",
+           "if step % FLUSH_EVERY == -1:",
+           ("tests/test_coupled.py::TestRunSimulation::test_subnormals_are_flushed_in_a_quiet_region",)),
     # the scalar operators, their spectra and the reported numbers
     Mutant("gl-outflow-hh-half", _ADV, "A += u * np.outer(h / w, h)", "A += 0.5 * u * np.outer(h / w, h)",
            ("tests/test_acceptance.py::test_criterion_1_stability_table",
@@ -162,6 +179,18 @@ MUTANTS = (
     Mutant("cli-numerical-exit-2", "src/lagdg/cli.py", "EXIT_NUMERICAL = 3", "EXIT_NUMERICAL = 2",
            ("tests/test_cli.py::TestCliCommands::test_non_finite_operator_is_a_numerical_failure",
             "tests/test_cli.py::TestCliCommands::test_numerical_failure_exit_code")),
+    # every input passes resolve_config, whose whole-number rule reads the defaults
+    Mutant("inspection-flags-skip-resolve", _SCEN, "resolved = resolve_config(scenario.defaults, cfg, name)",
+           'resolved = ({**scenario.defaults, **cfg} if name in ("spectrum", "rule", "operator")\n'
+           "                else resolve_config(scenario.defaults, cfg, name))",
+           (_FLAGS, _MISTYPED)),
+    Mutant("whole-rule-on-float-defaults", _SCEN, "return isinstance(first, int) and not",
+           "return isinstance(first, float) and not",
+           (_MISTYPED, "tests/test_cli.py::test_whole_number_keys_are_the_keys_read_as_ints")),
+    Mutant("bool-defaults-as-ints", _SCEN, "return isinstance(first, int) and not isinstance(first, bool)",
+           "return isinstance(first, int)",
+           ("tests/test_scenarios.py::TestCoupledScenariosSmall::test_snapshot_output",
+            "tests/test_cli.py::test_whole_number_keys_are_the_keys_read_as_ints")),
     # known survivor: no shipped table can see the isotropic layer
     Mutant("dgamma-ignored", "src/lagdg/scenarios.py", 'SigmoidDamping(cfg["dgamma"],', "SigmoidDamping(0.0,",
            ("tests/test_scenarios.py::TestCoupledScenariosSmall",),
