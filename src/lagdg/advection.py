@@ -91,7 +91,7 @@ def _modal_operator(variant: SchemeVariant, beta: float, M: int, u: float) -> Se
     # already feeds the outgoing trace back into every mode for u < 0.
     # L_j(beta z) = e^{beta z / 2} Lhat_j(z), so the polynomial coefficients
     # obey the same system shifted by -beta u / 2 I, with the same forcing.
-    op = LaguerreModalOperator(scalar_system(u), BasisSpec(LAGUERRE_FUNCTIONS, beta, M))
+    op = LaguerreModalOperator(scalar_system(u), BasisSpec(beta, M))
     A = op.K
     g = beta * op.a_plus[0, 0] * variant.q_left * np.ones(M + 1)
     exact = np.full(M + 1, -0.5 * beta * abs(u), dtype=complex)

@@ -23,20 +23,15 @@ import numpy as np
 LAGUERRE_FUNCTIONS = "functions"
 LAGUERRE_POLYNOMIALS = "polynomials"
 
-_BASIS_KINDS = (LAGUERRE_FUNCTIONS, LAGUERRE_POLYNOMIALS)
-
 
 @dataclass(frozen=True)
 class BasisSpec:
-    """Basis family selector: kind, inverse-length scaling beta, cutoff M."""
+    """Laguerre function basis: inverse-length scaling beta, cutoff M."""
 
-    kind: str
     beta: float
     M: int
 
     def __post_init__(self):
-        if self.kind not in _BASIS_KINDS:
-            raise ValueError(f"unknown basis kind {self.kind!r}; expected one of {_BASIS_KINDS}")
         if not (self.beta > 0 and np.isfinite(self.beta)):
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
         if self.M < 0:

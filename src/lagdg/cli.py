@@ -2,7 +2,8 @@
 
 Subcommands ``rule``, ``operator`` and ``spectrum`` inspect individual
 discretization objects, one ``--KEY VALUE`` option per key of their
-scenario's defaults table; ``run`` executes a scenario described by a flat
+scenario's defaults table (``--KEY=VALUE`` for a value that begins with
+``-``); ``run`` executes a scenario described by a flat
 key = value config file.  Exit codes: 0 success, 2 configuration error,
 3 numerical failure.
 """
@@ -28,10 +29,10 @@ INSPECTORS = {"spectrum": "eigenvalues of one discretization variant",
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="lagdg", description=__doc__)
+    parser = argparse.ArgumentParser(prog="lagdg", description=__doc__, exit_on_error=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run a scenario from a config file")
+    run_p = sub.add_parser("run", help="run a scenario from a config file", exit_on_error=False)
     run_p.add_argument("--config", required=True, help="path to key = value config file")
     run_p.add_argument("--output", default="out", help="output directory")
     run_p.add_argument("--override", action="append", default=[], metavar="KEY=VALUE",
@@ -41,7 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
     # table, parsed and checked like a config value; a flag left out takes its default
     for name, help_text in INSPECTORS.items():
         defaults = SCENARIOS[name].defaults
-        p = sub.add_parser(name, help=help_text, description=f"{help_text}; defaults {json.dumps(defaults)}")
+        p = sub.add_parser(name, help=help_text, description=f"{help_text}; defaults {json.dumps(defaults)}",
+                           exit_on_error=False)
         for key in defaults:
             p.add_argument("--" + key.replace("_", "-"), type=parse_value, default=argparse.SUPPRESS)
         p.add_argument("--output", default="out", help="output directory")
@@ -57,14 +59,33 @@ def _apply_overrides(cfg: dict, overrides) -> dict:
     return cfg
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _parse_args(argv: list[str]):
+    """(args, extra): argparse's result and the arguments it did not know.
+    argparse reads a value that begins with '-' and is not a plain number
+    as an option, so that value has to be given as --KEY=VALUE."""
     try:
+        return build_parser().parse_known_args(argv)
+    except argparse.ArgumentError as exc:
+        flag = exc.argument_name
+        value = argv[argv.index(flag) + 1] if flag in argv[:-1] else ""
+        hint = ""
+        if value.startswith("-") and not value.startswith("--"):
+            hint = f"; give a value that begins with '-' as {flag}={value}"
+        raise ConfigError(f"{exc}{hint}") from exc
+
+
+def main(argv=None) -> int:
+    try:
+        args, extra = _parse_args(sys.argv[1:] if argv is None else list(argv))
+        # an inspection flag its scenario does not have is an unknown key, as in its --override spelling
+        unknown = {a[2:].partition("=")[0].replace("-", "_"): None for a in extra if a.startswith("--")}
+        if extra and (args.command == "run" or not unknown):
+            raise ConfigError(f"unrecognized arguments: {' '.join(extra)}")
         if args.command == "run":
             cfg = _apply_overrides(parse_config_file(args.config), args.override)
         else:
-            cfg = {k: v for k, v in vars(args).items() if k not in ("command", "output")}
-            cfg["scenario"] = args.command
+            known = {k: v for k, v in vars(args).items() if k not in ("command", "output")}
+            cfg = {**known, **unknown, "scenario": args.command}
         summary = run_scenario(cfg, args.output)
         if args.command == "run":
             summary = {"scenario": cfg["scenario"], "output": str(args.output), "summary_keys": sorted(summary)}

@@ -266,7 +266,7 @@ def test_criterion_9_oracle_equivalences():
     beta, M = 0.05, 15
     cfg = SWEConfig()
     sys = swe_system(cfg)
-    spec = BasisSpec("functions", beta, M)
+    spec = BasisSpec(beta, M)
     rng = np.random.default_rng(7)
     q = rng.normal(size=(2, M + 1))
     gvec = rng.normal(size=2)
@@ -294,7 +294,7 @@ def test_criterion_9_oracle_equivalences():
 
     # (c) derivative expansions vs central finite differences: row 5 of the
     # modal operator of q_t + q_z = 0 expands d/dz Lhat_5
-    spec = BasisSpec("functions", 1.0, 6)
+    spec = BasisSpec(1.0, 6)
     c = LaguerreModalOperator(scalar_system(1.0), spec).K[5]
     h = 1e-6
     for z in rng.uniform(0.1, 8.0, size=6):

@@ -61,7 +61,7 @@ class TestModalVariants:
         # the spectra assemble the time stepper's K, outgoing trace feedback included
         beta = 0.5
         op = assemble(SchemeVariant("modal", "functions", direction=direction), beta, M, u)
-        K = LaguerreModalOperator(scalar_system(u), BasisSpec("functions", beta, M)).K
+        K = LaguerreModalOperator(scalar_system(u), BasisSpec(beta, M)).K
         assert np.array_equal(op.A, K)
         if direction == INFLOW:
             # no outgoing characteristic, so nothing is added: -beta u * 0 stays -0.0
@@ -112,7 +112,7 @@ class TestStrongCollocation:
         beta, M = 1.0, 5
         op = assemble(SchemeVariant("strong", "functions", direction=OUTFLOW), beta, M, -1.0)
         # row 2 of the modal operator of q_t + q_z = 0 expands d/dz Lhat_2
-        c = LaguerreModalOperator(scalar_system(1.0), BasisSpec("functions", beta, M)).K[2]
+        c = LaguerreModalOperator(scalar_system(1.0), BasisSpec(beta, M)).K[2]
         table = laguerre_fun_table(M, beta * build_rule("glr", "functions", beta, M).nodes)
         assert op.A @ table[2] == pytest.approx(c @ table, abs=1e-8)
         assert np.all(op.g == 0)

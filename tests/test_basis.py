@@ -38,24 +38,24 @@ def poly_derivative_columns(spec):
     """Column i holds the c_k of d/dz L_i(beta z) = sum_k c_k L_k(beta z):
     with u = -1 the modal outflow operator has no boundary term, so its
     column i is the expansion of -u d/dz L_i."""
-    return assemble(SchemeVariant("modal", spec.kind, direction=OUTFLOW), spec.beta, spec.M, -1.0).A
+    return assemble(SchemeVariant("modal", "polynomials", direction=OUTFLOW), spec.beta, spec.M, -1.0).A
 
 
 class TestLaguerrePoly:
     def test_degree_zero_is_one(self):
-        spec = BasisSpec("polynomials", 1.0, 5)
+        spec = BasisSpec(1.0, 5)
         assert poly_rows(spec, 5.0)[0] == 1.0
 
     def test_degree_one_root(self):
-        spec = BasisSpec("polynomials", 2.0, 3)
+        spec = BasisSpec(2.0, 3)
         assert poly_rows(spec, 0.5)[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_against_series_oracle(self):
-        spec = BasisSpec("polynomials", 1.0, 8)
+        spec = BasisSpec(1.0, 8)
         assert poly_rows(spec, 2.0)[5] == pytest.approx(laguerre_series(5, 2.0), rel=1e-13)
 
     def test_random_points_series_oracle(self):
-        spec = BasisSpec("polynomials", 0.7, 10)
+        spec = BasisSpec(0.7, 10)
         zs = np.random.default_rng(3).uniform(0, 8, size=12)
         table = poly_rows(spec, zs)
         for m, z in enumerate(zs):
@@ -65,50 +65,49 @@ class TestLaguerrePoly:
 
 class TestLaguerreFun:
     def test_value_one_at_origin(self):
-        spec = BasisSpec("functions", 1.0, 10)
+        spec = BasisSpec(1.0, 10)
         assert fun_rows(spec, 0.0) == pytest.approx(np.ones(11), abs=1e-14)
 
     def test_exponential_identity(self):
-        spec = BasisSpec("functions", 1.0, 2)
+        spec = BasisSpec(1.0, 2)
         assert fun_rows(spec, math.log(4.0))[0] == pytest.approx(0.5, rel=1e-14)
 
     def test_series_oracle_composition(self):
-        spec = BasisSpec("functions", 0.5, 5)
+        spec = BasisSpec(0.5, 5)
         expect = math.exp(-1.0) * laguerre_series(3, 2.0)
         assert fun_rows(spec, 4.0)[3] == pytest.approx(expect, rel=1e-13)
 
     def test_recurrence_consistency_with_poly(self):
         # exp(beta z / 2) * Lhat_j == L_j up to the range where L_j is finite
         for beta in (0.5, 1.0, 2.0):
-            spec_f = BasisSpec("functions", beta, 30)
-            spec_p = BasisSpec("polynomials", beta, 30)
+            spec = BasisSpec(beta, 30)
             zs = np.linspace(0.1, 50.0 / beta, 9)
-            lhs = fun_rows(spec_f, zs) * np.exp(0.5 * beta * zs)
-            rhs = poly_rows(spec_p, zs)
+            lhs = fun_rows(spec, zs) * np.exp(0.5 * beta * zs)
+            rhs = poly_rows(spec, zs)
             for j in (7, 19, 30):
                 for m in range(len(zs)):
                     assert lhs[j, m] == pytest.approx(rhs[j, m], rel=1e-12, abs=1e-12)
 
     def test_no_overflow_at_large_index_and_argument(self):
-        spec = BasisSpec("functions", 1.0, 200)
+        spec = BasisSpec(1.0, 200)
         assert np.all(np.isfinite(fun_rows(spec, 700.0)))
 
 
 class TestDerivativeExpansions:
     def test_function_expansion_coefficients(self):
-        K = function_derivative_rows(BasisSpec("functions", 2.0, 4))
+        K = function_derivative_rows(BasisSpec(2.0, 4))
         assert np.allclose(K[2], [-2.0, -2.0, -1.0, 0.0, 0.0])
-        K1 = function_derivative_rows(BasisSpec("functions", 1.0, 1))
+        K1 = function_derivative_rows(BasisSpec(1.0, 1))
         assert np.allclose(K1[0], [-0.5, 0.0])
 
     def test_poly_expansion_coefficients(self):
-        A = poly_derivative_columns(BasisSpec("polynomials", 3.0, 4))
+        A = poly_derivative_columns(BasisSpec(3.0, 4))
         assert np.allclose(A[:, 2], [-3.0, -3.0, 0.0, 0.0, 0.0])
         assert np.allclose(A[:, 0], np.zeros(5))
 
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
     def test_function_expansion_matches_finite_differences(self, beta):
-        spec = BasisSpec("functions", beta, 6)
+        spec = BasisSpec(beta, 6)
         K = function_derivative_rows(spec)
         rng = np.random.default_rng(11)
         h = 1e-6 / beta
@@ -119,7 +118,7 @@ class TestDerivativeExpansions:
                 assert recon[i] == pytest.approx(fd[i], rel=1e-6, abs=1e-8)
 
     def test_poly_expansion_matches_finite_differences(self):
-        spec = BasisSpec("polynomials", 1.0, 5)
+        spec = BasisSpec(1.0, 5)
         z, h = 0.7, 1e-6
         recon = poly_derivative_columns(spec)[:, 5] @ poly_rows(spec, z)
         fd = (poly_rows(spec, z + h)[5] - poly_rows(spec, z - h)[5]) / (2 * h)
@@ -174,11 +173,9 @@ class TestLegendreTable:
 class TestBasisSpecValidation:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            BasisSpec("functions", 0.0, 3)
+            BasisSpec(0.0, 3)
         with pytest.raises(ValueError):
-            BasisSpec("functions", 1.0, -1)
-        with pytest.raises(ValueError):
-            BasisSpec("hermite", 1.0, 3)
+            BasisSpec(1.0, -1)
         for beta in (np.inf, np.nan):
             with pytest.raises(ValueError, match="finite"):
-                BasisSpec("functions", beta, 3)
+                BasisSpec(beta, 3)

@@ -1,5 +1,4 @@
 import argparse
-import ast
 import json
 import os
 import subprocess
@@ -11,14 +10,14 @@ import pytest
 
 from lagdg import scenarios
 from lagdg.cli import INSPECTORS, build_parser, main
-from lagdg.scenarios import SCENARIOS, ConfigError, parse_config_file, run_scenario
+from lagdg.scenarios import SCENARIOS, ConfigError, parse_config_file, resolve_config, run_scenario
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO / "configs"
 LIST_KEYS = [(name, key) for name, scenario in SCENARIOS.items()
              for key, default in scenario.defaults.items() if isinstance(default, list)]
-# (config, key, value): a value of the wrong kind for its key, or a fraction
-# where the code reads an int
+# (config, key, value): a value of the wrong kind or shape for its key, a
+# fraction where the key's default is an int, or a direction that is not one
 MISTYPED_KEYS = [
     ("coupling_validation", "L", '"abc"'),
     ("absorption_main", "H", "null"),
@@ -34,7 +33,14 @@ MISTYPED_KEYS = [
     ("coupling_validation", "semi_nodes", "180.5"),
     ("coupling_validation", "nt_ingoing", "2.5"),
     ("absorption_main", "rows", "[[40, 400.5, 600, 0.0035714285714285713]]"),
+    ("absorption_main", "rows", "[[40, 400, 600]]"),
+    ("absorption_main", "rows", "[[40, 400, 600, [0.01]]]"),
+    ("absorption_main", "rows", "5"), ("absorption_main", "rows", "[5, 6, 7, 8]"),
+    ("coupling_validation", "h1_list", "0.1"), ("coupling_validation", "h1_list", '["a"]'),
+    ("coupling_validation", "directions", '"ingoing"'), ("coupling_validation", "directions", '["sideways"]'),
+    ("wavetrain_15nodes", "amplitude_list", "0.05"), ("wavetrain_15nodes", "amplitude_list", "[[0.05]]"),
 ]
+HUGE = "1" + "0" * 400  # an integer beyond the double range
 
 
 class TestConfigParsing:
@@ -137,43 +143,16 @@ class TestCliCommands:
                    "--output", str(tmp_path / "o")])
         assert rc == 2
 
-    @pytest.mark.parametrize("config, key", [
-        ("absorption_main", "rows=5"),
-        ("absorption_main", "rows=[[40]]"),
-        ("absorption_main", "rows=[5, 6, 7, 8]"),
-        ("coupling_validation", "h1_list=0.1"),
-        ("coupling_validation", "directions=\"ingoing\""),
-        ("coupling_validation", "directions=[\"sideways\"]"),
-        ("wavetrain_15nodes", "amplitude_list=0.05"),
-        ("coupling_validation", "h1_list=[\"a\"]"),
-        ("wavetrain_15nodes", "amplitude_list=[[0.05]]"),
-        ("absorption_main", "rows=[[40, 400, 600, [0.01]]]"),
-    ])
-    def test_malformed_list_keys_are_config_errors(self, tmp_path, capsys, config, key):
-        # rejected before any row runs, with the documented exit code
-        rc = main(["run", "--config", str(CONFIG_DIR / f"{config}.cfg"), "--override", key,
-                   "--output", str(tmp_path / "o")])
-        assert rc == 2
-        assert "configuration error" in capsys.readouterr().err
-        assert not (tmp_path / "o" / "results.csv").exists()
-
     @pytest.mark.parametrize("config, key, value", MISTYPED_KEYS)
     def test_mistyped_scalar_keys_are_config_errors(self, tmp_path, capsys, config, key, value):
-        # each value has the wrong kind for its key, or a fraction where the code
-        # reads an int: exit 2 naming the key, before any output is written
+        # exit 2 naming the key, before any row runs or any output is written
         rc = main(["run", "--config", str(CONFIG_DIR / f"{config}.cfg"), "--override", f"{key}={value}",
                    "--output", str(tmp_path / "o")])
         assert rc == 2
         err = capsys.readouterr().err
         assert "configuration error" in err
-        assert ("rows [[40, 400.5" if key == "rows" else f"key {key!r}") in err
+        assert f"key {key!r}" in err
         assert not (tmp_path / "o").exists()
-
-    def test_whole_float_order_resolves(self, tmp_path):
-        rc = main(["run", "--config", str(CONFIG_DIR / "rule_example.cfg"), "--override", "M=3.0",
-                   "--output", str(tmp_path)])
-        assert rc == 0
-        assert len((tmp_path / "rule.csv").read_text().splitlines()) == 1 + 4
 
     @pytest.mark.parametrize("u", ["null", "-2", "-2.5"])
     def test_optional_speed_takes_null_or_a_number(self, tmp_path, u):
@@ -282,13 +261,20 @@ class TestCliCommands:
         ["run", "--config", str(CONFIG_DIR / "wavetrain_15nodes.cfg"), "--override", "beta=Infinity"],
         ["run", "--config", str(CONFIG_DIR / "absorption_main.cfg"), "--override",
          "rows=[[40, Infinity, 600, 0.0035714285714285713]]"],
+        # integers beyond the double range: a scalar, list elements and a row element
+        *[["run", "--config", str(CONFIG_DIR / f"{c}.cfg"), "--override", o] for c, o in [
+            ("rule_example", f"beta={HUGE}"), ("wavetrain_15nodes", f"nx={HUGE}"),
+            ("convergence_dg", f"nx_list=[50, {HUGE}]"), ("wavetrain_15nodes", f"amplitude_list=[-{HUGE}]"),
+            ("absorption_main", f"rows=[[40, 400, 600, {HUGE}]]")]],
     ], ids=["spectrum-u-nan", "spectrum-beta-inf", "rule-beta-inf", "run-T-inf", "run-beta-inf",
-            "run-nested-list-inf"])
+            "run-nested-list-inf", "huge-float", "huge-int", "huge-int-list", "huge-float-list", "huge-row"])
     def test_non_finite_numbers_are_config_errors(self, tmp_path, capsys, args):
-        # rejected before anything is written, not as a NaN result or a numerical failure
+        # rejected naming the key before anything is written, not as a NaN
+        # result, a numerical failure or an OverflowError traceback
         assert main(args + ["--output", str(tmp_path / "o")]) == 2
-        assert "must be finite" in capsys.readouterr().err
-        assert not any((tmp_path / "o").glob("*.csv"))
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: key '") and "must be finite" in err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_config_file(self, tmp_path):
         rc = main(["run", "--config", str(tmp_path / "missing.cfg"),
@@ -396,6 +382,7 @@ FLAG_CASES = [c for c in MISTYPED_KEYS if _scenario_of(c[0]) in INSPECTORS] + [
     ("operator_example", "M", "2.5"),
     ("operator_example", "q_left", '"x"'),
     ("operator_example", "direction", "sideways"),
+    ("spectrum_modal_functions_outflow", "bogus", "1"),
 ]
 
 
@@ -441,51 +428,53 @@ class TestInspectionFlags:
         assert manifest == {**scenarios.SPECTRUM_DEFAULTS, "u": -1.0, "scenario": "spectrum"}
         assert len((tmp_path / "eigenvalues.csv").read_text().splitlines()) == 1 + 51
 
+    @pytest.mark.parametrize("argv, message", [
+        (["spectrum", "--bogus", "1"], "unknown keys for scenario 'spectrum': ['bogus']"),
+        (["spectrum", "--u", "-Infinity"], "argument --u: expected one argument; give a value that begins "
+                                           "with '-' as --u=-Infinity"),
+        (["spectrum", "--u=-Infinity"], "key 'u' of scenario 'spectrum' must be finite"),
+        (["run", "--config", str(CONFIG_DIR / "rule_example.cfg"), "--bogus"], "unrecognized arguments: --bogus"),
+    ], ids=["unknown-flag", "dash-value", "dash-value-joined", "run-unknown-flag"])
+    def test_argument_errors_are_config_errors(self, tmp_path, capsys, argv, message):
+        assert main(argv + ["--output", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {message}")
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_form_is_a_config_error(self, tmp_path, capsys):
         assert main(["spectrum", "--form", "bogus", "--output", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == "configuration error: unknown form 'bogus'\n"
         assert not (tmp_path / "o").exists()
 
 
-def _int_read_keys() -> set:
-    """Config keys scenarios.py reads through int(cfg[...]) or int(n) for n
-    in cfg[...]; an f-string key f"nt_{d}" gives the pattern "nt_*"."""
-    def key(node):
-        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) and node.value.id == "cfg":
-            if isinstance(node.slice, ast.Constant):
-                return node.slice.value
-            if isinstance(node.slice, ast.JoinedStr) and isinstance(node.slice.values[0], ast.Constant):
-                return node.slice.values[0].value + "*"
-        return None
-
-    def int_of(node):
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "int"
-                and len(node.args) == 1):
-            return node.args[0]
-        return None
-
-    keys = set()
-    for node in ast.walk(ast.parse(Path(scenarios.__file__).read_text())):
-        keys.add(key(int_of(node)))
-        if isinstance(node, (ast.ListComp, ast.GeneratorExp)) and isinstance(int_of(node.elt), ast.Name):
-            gen = node.generators[0]
-            if isinstance(gen.target, ast.Name) and gen.target.id == int_of(node.elt).id:
-                keys.add(key(gen.iter))
-    return keys - {None}
+def _respelled(default) -> tuple:
+    """(a value for a key with this default, each number spelled the other way:
+    2.0 for an int, 2 for a float or None; the value resolve_config gives for it)."""
+    if isinstance(default, list):
+        rows = isinstance(default[0], list)
+        given, want = (list(x) for x in zip(*map(_respelled, default[0] if rows else default[:1])))
+        return ([given], [want]) if rows else (given, want)
+    if isinstance(default, (bool, str)):
+        return default, default
+    return (2.0, 2) if isinstance(default, int) else (2, 2.0)
 
 
-def test_whole_number_keys_are_the_keys_read_as_ints():
-    # resolve_config requires whole numbers exactly for the keys with an int
-    # default; the runners read exactly those through int(...)
-    read = _int_read_keys()
-    assert {"M", "nx", "nt_*", "nx_list"} <= read
-    defaults = [(key, default) for s in SCENARIOS.values() for key, default in s.defaults.items()]
-    matched = {pattern: {key for key, _ in defaults if key == pattern
-                         or (pattern.endswith("*") and key.startswith(pattern[:-1]))} for pattern in read}
-    assert all(matched.values()), matched
-    read_keys = set().union(*matched.values())
-    assert all(scenarios._whole(default) for key, default in defaults if key in read_keys)
-    assert {key for key, default in defaults if scenarios._whole(default)} == read_keys
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_every_key_resolves_to_its_defaults_type(name):
+    # the runners read cfg[...] as given, so an int default must give an int, a float or
+    # None default a float, a bool default a bool; repr tells 2 from 2.0 and 1 from True
+    defaults = SCENARIOS[name].defaults
+    given, want = ({key: _respelled(d)[i] for key, d in defaults.items()} for i in (0, 1))
+    for cfg, expect in ((given, want), (defaults, defaults)):
+        assert repr(resolve_config(defaults, dict(cfg), name)) == repr({**expect, "scenario": name})
+
+
+@pytest.mark.parametrize("scenario, key, value, expect", [
+    ("rule", "M", 3.0, 3), ("wavetrain", "wavenumber", 30, 30.0), ("spectrum", "u", -2, -2.0),
+    ("spectrum", "u", None, None), ("convergence", "nx_list", [50.0], [50]),
+    ("gaussian_absorption", "rows", [[40.0, 400, 600, 1]], [[40, 400, 600, 1.0]]),
+])
+def test_a_value_takes_its_defaults_type(scenario, key, value, expect):
+    assert repr(resolve_config(SCENARIOS[scenario].defaults, {key: value}, scenario)[key]) == repr(expect)
 
 
 class TestShippedConfigs:

@@ -54,7 +54,7 @@ class TestSWESystem:
         assert [f.name for f in fields(SWEConfig)] == ["H", "U", "grav"]
         sys = swe_system(SWEConfig())
         assert [f.name for f in fields(sys)] == ["a", "eig"]
-        spec = BasisSpec("functions", 0.05, 8)
+        spec = BasisSpec(0.05, 8)
         undamped = LaguerreModalOperator(sys, spec).K
         assert np.array_equal(LaguerreModalOperator(sys, spec, SigmoidDamping(0.0, 0.1, 0.05)).K, undamped)
 
@@ -177,7 +177,7 @@ class TestRK3:
 def small_model(damping=None, left_bc=None, left_mask=None):
     cfg = SWEConfig()
     mesh = Mesh1D(100.0, 25)
-    spec = BasisSpec("functions", 0.05, 14)
+    spec = BasisSpec(0.05, 14)
     return CoupledModel(swe_system(cfg), mesh, 1, spec, left_bc, left_mask, damping), cfg, mesh, spec
 
 
@@ -234,7 +234,7 @@ class TestCoupledRhs:
         cfg = SWEConfig()
         sys = swe_system(cfg)
         mesh = Mesh1D(50.0, 10)
-        spec = BasisSpec("functions", 0.1, 9)
+        spec = BasisSpec(0.1, 9)
         rng = np.random.default_rng(12)
         dg = rng.normal(size=(10, 2, 2)) * 0.01
         semi = rng.normal(size=(2, 10)) * 0.01
@@ -288,7 +288,7 @@ class TestCoupledRhs:
         # undamped (1.4e-15 at beta = 0.3).  Damping u only gives 2.3e-2.
         cfg = SWEConfig()
         mesh = Mesh1D(500.0, 60)
-        spec = BasisSpec("functions", 0.1, 14)
+        spec = BasisSpec(0.1, 14)
         period = 50.0 / cfg.wave_speed
         left_bc = lambda t: np.array([0.0, 0.05 * np.sin(2 * np.pi * t / period)])
         damping = SigmoidDamping(dgamma=0.1, alpha=0.1, sigma_over_l0=0.05) if damped else None
@@ -386,9 +386,9 @@ class TestExactSolution:
     """
 
     CASES = {
-        "outgoing": (5000.0, 0.0, BasisSpec("functions", 0.0025, 60)),
-        "ingoing": (12000.0, 0.0, BasisSpec("functions", 0.005, 120)),
-        "outgoing-U0.3": (5000.0, 0.3, BasisSpec("functions", 0.0025, 60)),
+        "outgoing": (5000.0, 0.0, BasisSpec(0.0025, 60)),
+        "ingoing": (12000.0, 0.0, BasisSpec(0.005, 120)),
+        "outgoing-U0.3": (5000.0, 0.3, BasisSpec(0.0025, 60)),
     }
 
     @staticmethod
@@ -439,7 +439,7 @@ class TestScalarModelProblem:
         L, T = 10.0, 6.0
         f = lambda x: np.exp(-((np.asarray(x) - x0) ** 2))
         inflow = {"left_bc": lambda t: np.array([f(-u * t)]), "left_mask": np.array([True])} if u > 0 else {}
-        spec = BasisSpec("functions", 4.0, 80)
+        spec = BasisSpec(4.0, 80)
         model = CoupledModel(scalar_system(u), Mesh1D(L, 100), 2, spec, **inflow)
         yT = run_simulation(model.rhs, model.initial_state(f), 0.0, T / 600, 600)
         centers = model.dg_op.mesh.centers
@@ -474,7 +474,7 @@ class TestLayout:
 
     @pytest.mark.parametrize("p", [0, 1, 3])
     def test_coupled_split_views_the_flat_state(self, p):
-        model = CoupledModel(swe_system(SWEConfig()), Mesh1D(100.0, 7), p, BasisSpec("functions", 0.05, 9))
+        model = CoupledModel(swe_system(SWEConfig()), Mesh1D(100.0, 7), p, BasisSpec(0.05, 9))
         y = model.initial_state(self.h, self.u)
         dg, semi = model.split(y)
         assert np.shares_memory(dg, y) and np.shares_memory(semi, y)
@@ -483,7 +483,7 @@ class TestLayout:
         assert np.array_equal(model.centers_view(y), eval_at_centers(project_dg([self.h, self.u], model.dg_op.mesh, p)))
 
     def test_one_profile_per_component(self):
-        mesh, spec, swe = Mesh1D(100.0, 7), BasisSpec("functions", 0.05, 9), swe_system(SWEConfig())
+        mesh, spec, swe = Mesh1D(100.0, 7), BasisSpec(0.05, 9), swe_system(SWEConfig())
         for model in (CoupledModel(swe, mesh, 1, spec), DGOnlyModel(swe, mesh, 1),
                       CoupledModel(scalar_system(1.0), mesh, 1, spec)):
             d = model.dg_op.sys.d
@@ -509,7 +509,7 @@ class TestEnergies:
         # the p = 1 projection of a linear profile is exact; on [0, L]
         # integral (a + b x)^2 dx = a^2 L + a b L^2 + b^2 L^3 / 3
         L = 10.0
-        model = CoupledModel(swe_system(self.cfg), Mesh1D(L, 8), 1, BasisSpec("functions", 0.5, 6))
+        model = CoupledModel(swe_system(self.cfg), Mesh1D(L, 8), 1, BasisSpec(0.5, 6))
         y = model.initial_state(lambda x: 0.3 + 0.02 * x, lambda x: -0.1 + 0.05 * x)
         square = lambda a, b: a * a * L + a * b * L ** 2 + b * b * L ** 3 / 3.0
         expect = 0.5 * (self.cfg.grav * square(0.3, 0.02) + self.cfg.H * square(-0.1, 0.05))
@@ -520,7 +520,7 @@ class TestEnergies:
         # h = Lhat_0(beta z) = exp(-beta z / 2) and u = Lhat_1(beta z) / 2 are
         # orthogonal with norm^2 1 / beta, so the energy is (g + H / 4) / (2 beta)
         beta = 0.05
-        spec = BasisSpec("functions", beta, 12)
+        spec = BasisSpec(beta, 12)
         h = lambda z: np.exp(-beta * z / 2.0)
         u = lambda z: 0.5 * np.exp(-beta * z / 2.0) * (1.0 - beta * z)
         got = semi_energy(project_semi([h, u], spec), beta, self.cfg.grav, self.cfg.H)
@@ -541,7 +541,7 @@ class TestCallContract:
     @staticmethod
     def _model(kind):
         mesh = Mesh1D(2000.0, 20)
-        spec = BasisSpec("functions", 0.01, 9)
+        spec = BasisSpec(0.01, 9)
         damping = SigmoidDamping(dgamma=0.1, alpha=0.25, sigma_over_l0=0.05)
         forcing = dict(left_bc=lambda t: np.array([0.0, 0.01 * np.sin(0.1 * t)]),
                        left_mask=np.array([False, True]))

@@ -158,7 +158,7 @@ def test_closure_map_matches_reference_ghost(case):
 def test_modal_rhs_matches_reference(case):
     cfg, damping = SWE_CASES[case]
     sys = swe_system(cfg)
-    spec = BasisSpec("functions", 0.05, 20)
+    spec = BasisSpec(0.05, 20)
     rng = np.random.default_rng(7)
     q = rng.normal(size=(2, 21))
     g = rng.normal(size=2)
@@ -179,7 +179,7 @@ def test_folded_operator_matches_reference(system, M, damping):
     # K holds the outgoing trace feedback as well, so K c + beta A+ g is the
     # whole right-hand side, and rhs applies it
     sys = MODAL_SYSTEMS[system]
-    spec = BasisSpec("functions", 0.05, M)
+    spec = BasisSpec(0.05, M)
     op = LaguerreModalOperator(sys, spec, damping)
     rng = np.random.default_rng(M)
     q, g = rng.normal(size=(sys.d, M + 1)), rng.normal(size=sys.d)
@@ -195,7 +195,7 @@ def test_coupled_rhs_matches_reference(p, case):
         return np.array([0.0, 0.2 * np.sin(t)])
 
     cfg, damping = SWE_CASES[case]
-    spec = BasisSpec("functions", 0.05, 14)
+    spec = BasisSpec(0.05, 14)
     for bc, mask in ((None, None), (left_bc, MASK_U)):
         mesh = Mesh1D(100.0, 11)
         model = CoupledModel(swe_system(cfg), mesh, p, spec, left_bc=bc, left_mask=mask, damping=damping)

@@ -339,7 +339,7 @@ class TestDiffMatrix:
 
     def test_function_matrix_matches_derivative_expansion(self):
         beta, M = 1.0, 5
-        spec = BasisSpec("functions", beta, M)
+        spec = BasisSpec(beta, M)
         rule = build_rule("glr", "functions", beta, M)
         D = build_diff_matrix(rule)
         # row 2 of the modal operator of q_t + q_z = 0 expands d/dz Lhat_2

@@ -109,7 +109,7 @@ class TestCoupledScenariosSmall:
     def test_snapshot_of_a_scalar_coupled_model(self, tmp_path):
         # x, then one column per component; exp(-x) is the first Laguerre
         # function at beta = 2, so the semi-infinite samples are exact
-        spec = BasisSpec("functions", 2.0, 6)
+        spec = BasisSpec(2.0, 6)
         model = CoupledModel(scalar_system(1.0), Mesh1D(1.0, 5), 1, spec)
         scenarios._snapshot_csv(tmp_path, "s.csv", model, model.initial_state(lambda x: np.exp(-x)))
         lines = (tmp_path / "s.csv").read_text().splitlines()

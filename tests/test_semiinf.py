@@ -56,7 +56,7 @@ class TestFluxSplit:
 
 class TestProjection:
     def test_basis_member_projects_to_unit_vector(self):
-        spec = BasisSpec("functions", 1.0, 8)
+        spec = BasisSpec(1.0, 8)
         f = lambda z: laguerre_fun_table(2, z)[2]
         coeffs = project([f], spec)
         e2 = np.zeros(9)
@@ -65,11 +65,11 @@ class TestProjection:
         assert coeffs[0] == pytest.approx(e2, abs=1e-10)
 
     def test_zero_function(self):
-        spec = BasisSpec("functions", 2.0, 5)
+        spec = BasisSpec(2.0, 5)
         assert np.all(project([lambda z: np.zeros_like(z)], spec) == 0)
 
     def test_non_finite_values_rejected(self):
-        spec = BasisSpec("functions", 1.0, 5)
+        spec = BasisSpec(1.0, 5)
         with pytest.raises(ValueError, match="non-finite"):
             project([lambda z: np.full_like(z, np.nan)], spec)
 
@@ -79,14 +79,14 @@ class TestProjection:
         zs = rng.uniform(0.0, 4.0, size=10)
         errs = []
         for M in (8, 16, 32):
-            spec = BasisSpec("functions", 1.0, M)
+            spec = BasisSpec(1.0, M)
             vals = reconstruct(project([f], spec), spec, zs)[0]
             errs.append(np.max(np.abs(vals - f(zs)) / np.abs(f(zs))))
         assert errs[1] < errs[0] * 2 and errs[2] < errs[1] * 2
         assert errs[2] < errs[0]
 
     def test_project_reconstruct_identity_on_span(self):
-        spec = BasisSpec("functions", 1.5, 10)
+        spec = BasisSpec(1.5, 10)
         rng = np.random.default_rng(4)
         coeffs = rng.normal(size=(1, 11))
         f = lambda z: reconstruct(coeffs, spec, z)[0]
@@ -94,7 +94,7 @@ class TestProjection:
         assert back == pytest.approx(coeffs, abs=1e-9)
 
     def test_reconstruct_at_origin_and_errors(self):
-        spec = BasisSpec("functions", 1.0, 3)
+        spec = BasisSpec(1.0, 3)
         coeffs = np.array([[1.0, 0.0, 0.0, 0.0]])
         assert reconstruct(coeffs, spec, 0.0)[0, 0] == pytest.approx(1.0)
         with pytest.raises(ValueError):
@@ -104,12 +104,12 @@ class TestProjection:
 class TestTrace:
     def test_zero_and_plain_sum(self):
         # every Lhat_j is 1 at the origin, so the trace is the plain coefficient sum
-        spec = BasisSpec("functions", 1.0, 2)
+        spec = BasisSpec(1.0, 2)
         assert reconstruct(np.zeros((2, 3)), spec, 0.0)[:, 0] == pytest.approx([0.0, 0.0])
         assert reconstruct(np.array([[1.0, -1.0, 0.5]]), spec, 0.0)[:, 0] == pytest.approx([0.5])
 
     def test_matches_series_evaluation(self):
-        spec = BasisSpec("functions", 0.7, 14)
+        spec = BasisSpec(0.7, 14)
         f = lambda z: np.exp(-0.5 * z) * np.cos(z)
         coeffs = project([f], spec)
         tr = coeffs.sum(axis=1)
@@ -119,7 +119,7 @@ class TestTrace:
 class TestModalRhs:
     def test_scalar_inflow_reduces_to_advection_operator(self):
         beta, M, u, qL = 1.3, 7, 1.0, 2.0
-        spec = BasisSpec("functions", beta, M)
+        spec = BasisSpec(beta, M)
         rng = np.random.default_rng(0)
         q = rng.normal(size=(1, M + 1))
         got = LaguerreModalOperator(scalar_system(u), spec).rhs(q, 0.0, np.array([qL]))
@@ -128,7 +128,7 @@ class TestModalRhs:
 
     def test_scalar_outflow_reduces_to_advection_operator(self):
         beta, M, u = 0.8, 6, -1.0
-        spec = BasisSpec("functions", beta, M)
+        spec = BasisSpec(beta, M)
         rng = np.random.default_rng(1)
         q = rng.normal(size=(1, M + 1))
         got = LaguerreModalOperator(scalar_system(u), spec).rhs(q, 0.0, np.array([0.0]))
@@ -141,7 +141,7 @@ class TestModalRhs:
         beta, M = 0.05, 12
         cfg = SWEConfig(H=1.0, U=0.0, grav=9.81)
         sys = swe_system(cfg)
-        spec = BasisSpec("functions", beta, M)
+        spec = BasisSpec(beta, M)
         rng = np.random.default_rng(5)
         q = rng.normal(size=(2, M + 1))
         gvec = rng.normal(size=2)
@@ -163,7 +163,7 @@ class TestModalRhs:
 
     def test_linearity_in_state(self):
         sys = swe_system(SWEConfig())
-        spec = BasisSpec("functions", 0.02, 9)
+        spec = BasisSpec(0.02, 9)
         op = LaguerreModalOperator(sys, spec)
         rng = np.random.default_rng(6)
         q1 = rng.normal(size=(2, 10))
@@ -202,7 +202,7 @@ class TestModalRhs:
         beta, M = 0.01, 10
         damping = SigmoidDamping(dgamma=0.1, alpha=0.2, sigma_over_l0=0.02)
         sys = swe_system(SWEConfig())
-        spec = BasisSpec("functions", beta, M)
+        spec = BasisSpec(beta, M)
         op = LaguerreModalOperator(sys, spec, damping)
         rng = np.random.default_rng(8)
         q = rng.normal(size=(2, M + 1))
@@ -224,7 +224,7 @@ class TestModalRhs:
         beta = 0.05
         damping = SigmoidDamping(dgamma=0.4, alpha=1.0, sigma_over_l0=1e-6)
         sys = swe_system(SWEConfig())
-        spec = BasisSpec("functions", beta, M)
+        spec = BasisSpec(beta, M)
         op = LaguerreModalOperator(sys, spec, damping)
         rule = default_rule(spec)
         L0 = rule.nodes[-1]
@@ -253,7 +253,7 @@ class TestStructuredApply:
     @pytest.mark.parametrize("system", sorted(_SYSTEMS))
     def test_undamped_matches_dense_operator(self, system, M):
         sys = _SYSTEMS[system]
-        op = LaguerreModalOperator(sys, BasisSpec("functions", 0.05, M))
+        op = LaguerreModalOperator(sys, BasisSpec(0.05, M))
         rng = np.random.default_rng(M)
         q, g = rng.normal(size=(sys.d, M + 1)), rng.normal(size=sys.d)
         got, expect = op.rhs(q, 0.0, g), _dense_rhs(op, q, g)
@@ -265,7 +265,7 @@ class TestStructuredApply:
     def test_damped_applies_the_dense_operator(self, system, M):
         # the reaction term fills K, so a damped rhs keeps the dense product bit for bit
         sys = _SYSTEMS[system]
-        op = LaguerreModalOperator(sys, BasisSpec("functions", 0.05, M), SigmoidDamping(0.1, 0.2, 0.02))
+        op = LaguerreModalOperator(sys, BasisSpec(0.05, M), SigmoidDamping(0.1, 0.2, 0.02))
         rng = np.random.default_rng(M)
         q, g = rng.normal(size=(sys.d, M + 1)), rng.normal(size=sys.d)
         assert np.array_equal(op.rhs(q, 0.0, g), _dense_rhs(op, q, g))
@@ -274,7 +274,7 @@ class TestStructuredApply:
     def test_damped_rhs_reads_no_outgoing_feedback(self, system):
         # K holds beta A- (x) 11^T, so a damped rhs never reads A- or the trace
         sys = _SYSTEMS[system]
-        op = LaguerreModalOperator(sys, BasisSpec("functions", 0.05, 14), SigmoidDamping(0.1, 0.2, 0.02))
+        op = LaguerreModalOperator(sys, BasisSpec(0.05, 14), SigmoidDamping(0.1, 0.2, 0.02))
         rng = np.random.default_rng(4)
         q, g = rng.normal(size=(sys.d, 15)), rng.normal(size=sys.d)
         expect = op.rhs(q, 0.0, g)
@@ -283,13 +283,6 @@ class TestStructuredApply:
 
 
 class TestStateValidation:
-    def test_requires_function_basis(self):
-        spec = BasisSpec("polynomials", 1.0, 3)
-        with pytest.raises(ValueError, match="function basis"):
-            project([lambda z: np.ones_like(z)], spec)
-        with pytest.raises(ValueError, match="function basis"):
-            LaguerreModalOperator(scalar_system(1.0), spec)
-
     @pytest.mark.parametrize("shape", [(2, 3), (2,), (2, 2, 2)], ids=["rect", "vector", "3d"])
     def test_system_matrix_must_be_square(self, shape):
         with pytest.raises(ValueError, match=r"\(d, d\)"):

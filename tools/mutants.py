@@ -62,6 +62,7 @@ _SCEN = "src/lagdg/scenarios.py"
 _ENERGY = "tests/test_dg_energy.py::test_energy_rate_is_the_face_dissipation_plus_the_boundary_fluxes"
 _FLAGS = "tests/test_cli.py::TestInspectionFlags::test_flag_and_override_spellings_fail_alike"
 _MISTYPED = "tests/test_cli.py::TestCliCommands::test_mistyped_scalar_keys_are_config_errors"
+_EVERY_KEY = "tests/test_cli.py::test_every_key_resolves_to_its_defaults_type"
 
 MUTANTS = (
     # the undamped structured apply of LaguerreModalOperator.rhs
@@ -179,18 +180,24 @@ MUTANTS = (
     Mutant("cli-numerical-exit-2", "src/lagdg/cli.py", "EXIT_NUMERICAL = 3", "EXIT_NUMERICAL = 2",
            ("tests/test_cli.py::TestCliCommands::test_non_finite_operator_is_a_numerical_failure",
             "tests/test_cli.py::TestCliCommands::test_numerical_failure_exit_code")),
-    # every input passes resolve_config, whose whole-number rule reads the defaults
+    # every input passes resolve_config, which checks and types each value like its default
     Mutant("inspection-flags-skip-resolve", _SCEN, "resolved = resolve_config(scenario.defaults, cfg, name)",
            'resolved = ({**scenario.defaults, **cfg} if name in ("spectrum", "rule", "operator")\n'
            "                else resolve_config(scenario.defaults, cfg, name))",
            (_FLAGS, _MISTYPED)),
-    Mutant("whole-rule-on-float-defaults", _SCEN, "return isinstance(first, int) and not",
-           "return isinstance(first, float) and not",
-           (_MISTYPED, "tests/test_cli.py::test_whole_number_keys_are_the_keys_read_as_ints")),
-    Mutant("bool-defaults-as-ints", _SCEN, "return isinstance(first, int) and not isinstance(first, bool)",
-           "return isinstance(first, int)",
-           ("tests/test_scenarios.py::TestCoupledScenariosSmall::test_snapshot_output",
-            "tests/test_cli.py::test_whole_number_keys_are_the_keys_read_as_ints")),
+    Mutant("whole-rule-on-float-defaults", _SCEN, "if not isinstance(default, int):",
+           "if not isinstance(default, float):", (_MISTYPED, _EVERY_KEY)),
+    Mutant("bool-defaults-as-ints", _SCEN, "isinstance(value, (int, float)) and not isinstance(value, bool)",
+           "isinstance(value, (int, float))", (_MISTYPED, _EVERY_KEY)),
+    Mutant("rows-typed-like-first-element", _SCEN, "[[_typed(x, d, where) for x, d in zip(r, like)] for r in v]",
+           "[[_typed(x, like[0], where) for x in r] for r in v]",
+           (_EVERY_KEY, "tests/test_cli.py::test_a_value_takes_its_defaults_type",
+            "tests/test_scenarios.py::TestCoupledScenariosSmall::test_absorption_small_row")),
+    Mutant("double-range-unchecked", _SCEN, "if not abs(v) <= sys.float_info.max:",
+           "if isinstance(v, float) and not abs(v) <= sys.float_info.max:",
+           ("tests/test_cli.py::TestCliCommands::test_non_finite_numbers_are_config_errors[huge-int]",
+            "tests/test_cli.py::TestCliCommands::test_non_finite_numbers_are_config_errors[huge-float]",
+            "tests/test_cli.py::TestCliCommands::test_non_finite_numbers_are_config_errors[huge-row]")),
     # known survivor: no shipped table can see the isotropic layer
     Mutant("dgamma-ignored", "src/lagdg/scenarios.py", 'SigmoidDamping(cfg["dgamma"],', "SigmoidDamping(0.0,",
            ("tests/test_scenarios.py::TestCoupledScenariosSmall",),
