@@ -28,8 +28,13 @@ INSPECTORS = {"spectrum": "eigenvalues of one discretization variant",
               "operator": "dump the dense (A, g) pair of a variant"}
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # what exit_on_error=False still leaves here: a missing or ambiguous option
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="lagdg", description=__doc__, exit_on_error=False)
+    parser = _Parser(prog="lagdg", description=__doc__, exit_on_error=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run a scenario from a config file", exit_on_error=False)
@@ -38,12 +43,12 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--override", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config key (repeatable)")
 
-    # an inspection subcommand is its scenario: one --KEY VALUE per key of its defaults
-    # table, parsed and checked like a config value; a flag left out takes its default
+    # an inspection subcommand is its scenario: one --KEY VALUE per key of its defaults table, parsed
+    # and checked like a config value; a flag left out takes its default, a prefix is an unknown key
     for name, help_text in INSPECTORS.items():
         defaults = SCENARIOS[name].defaults
         p = sub.add_parser(name, help=help_text, description=f"{help_text}; defaults {json.dumps(defaults)}",
-                           exit_on_error=False)
+                           exit_on_error=False, allow_abbrev=False)
         for key in defaults:
             p.add_argument("--" + key.replace("_", "-"), type=parse_value, default=argparse.SUPPRESS)
         p.add_argument("--output", default="out", help="output directory")
@@ -59,24 +64,10 @@ def _apply_overrides(cfg: dict, overrides) -> dict:
     return cfg
 
 
-def _parse_args(argv: list[str]):
-    """(args, extra): argparse's result and the arguments it did not know.
-    argparse reads a value that begins with '-' and is not a plain number
-    as an option, so that value has to be given as --KEY=VALUE."""
-    try:
-        return build_parser().parse_known_args(argv)
-    except argparse.ArgumentError as exc:
-        flag = exc.argument_name
-        value = argv[argv.index(flag) + 1] if flag in argv[:-1] else ""
-        hint = ""
-        if value.startswith("-") and not value.startswith("--"):
-            hint = f"; give a value that begins with '-' as {flag}={value}"
-        raise ConfigError(f"{exc}{hint}") from exc
-
-
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args, extra = _parse_args(sys.argv[1:] if argv is None else list(argv))
+        args, extra = build_parser().parse_known_args(argv)
         # an inspection flag its scenario does not have is an unknown key, as in its --override spelling
         unknown = {a[2:].partition("=")[0].replace("-", "_"): None for a in extra if a.startswith("--")}
         if extra and (args.command == "run" or not unknown):
@@ -94,6 +85,15 @@ def main(argv=None) -> int:
     except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except argparse.ArgumentError as exc:
+        # argparse reads a value that begins with '-' and is not a plain number as an option
+        flag = exc.argument_name
+        value = argv[argv.index(flag) + 1] if flag in argv[:-1] else ""
+        hint = ""
+        if value.startswith("-") and not value.startswith("--"):
+            hint = f"; give a value that begins with '-' as {flag}={value}"
+        print(f"configuration error: {exc}{hint}", file=sys.stderr)
+        return EXIT_CONFIG
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -383,6 +383,7 @@ FLAG_CASES = [c for c in MISTYPED_KEYS if _scenario_of(c[0]) in INSPECTORS] + [
     ("operator_example", "q_left", '"x"'),
     ("operator_example", "direction", "sideways"),
     ("spectrum_modal_functions_outflow", "bogus", "1"),
+    ("rule_example", "be", "2"),
 ]
 
 
@@ -434,7 +435,9 @@ class TestInspectionFlags:
                                            "with '-' as --u=-Infinity"),
         (["spectrum", "--u=-Infinity"], "key 'u' of scenario 'spectrum' must be finite"),
         (["run", "--config", str(CONFIG_DIR / "rule_example.cfg"), "--bogus"], "unrecognized arguments: --bogus"),
-    ], ids=["unknown-flag", "dash-value", "dash-value-joined", "run-unknown-flag"])
+        (["run"], "the following arguments are required: --config"),
+        (["run", "--config", str(CONFIG_DIR / "rule_example.cfg"), "--o", "x"], "ambiguous option: --o could match"),
+    ], ids=["unknown-flag", "dash-value", "dash-value-joined", "run-unknown-flag", "run-no-config", "run-ambiguous"])
     def test_argument_errors_are_config_errors(self, tmp_path, capsys, argv, message):
         assert main(argv + ["--output", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith(f"configuration error: {message}")
