@@ -60,16 +60,16 @@ def parse_config_file(path) -> dict:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
-    cfg = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        cfg[key.strip()] = parse_value(value.strip())
-    return cfg
+    lines = ((f"{path}:{n}", raw.split("#", 1)[0].strip()) for n, raw in enumerate(text.splitlines(), 1))
+    return dict(parse_item(line, where) for where, line in lines if line)
+
+
+def parse_item(text: str, where: str) -> tuple:
+    """(key, value) of one ``key = value`` config line or ``--override`` item."""
+    key, eq, value = text.partition("=")
+    if not eq:
+        raise ConfigError(f"{where}: expected 'key = value', got {text!r}")
+    return key.strip(), parse_value(value.strip())
 
 
 def parse_value(text: str):
@@ -383,6 +383,8 @@ def _wavetrain_row(cfg: dict, amplitude: float, outdir: Path) -> dict:
 
 
 def run_wavetrain(cfg: dict, outdir: Path) -> dict:
+    if not cfg["wavenumber"] > 0:
+        raise ConfigError(f"wavetrain needs a positive wavenumber; got {cfg['wavenumber']}")
     rows = _map_rows(lambda a: _wavetrain_row(cfg, a, outdir), list(cfg["amplitude_list"]))
     return _write_results(outdir, cfg, ["amplitude", "wavenumber", "nx", "beta", "e2_h", "einf_h",
                                         "e2_u", "einf_u", "e_en"], rows)

@@ -1,4 +1,3 @@
-import argparse
 import json
 import os
 import subprocess
@@ -9,7 +8,7 @@ import numpy as np
 import pytest
 
 from lagdg import scenarios
-from lagdg.cli import INSPECTORS, build_parser, main
+from lagdg.cli import INSPECTORS, main
 from lagdg.scenarios import SCENARIOS, ConfigError, parse_config_file, resolve_config, run_scenario
 
 REPO = Path(__file__).resolve().parent.parent
@@ -167,8 +166,9 @@ class TestCliCommands:
         ("convergence_dg", ["cfl=0"], "positive T and cfl"),
         ("coupling_validation", ["nt_outgoing=0", 'directions=["outgoing"]'], "nt_outgoing must be at least 1"),
         ("coupling_validation", ["nt_ingoing=0"], "nt_ingoing must be at least 1"),
+        ("wavetrain_15nodes", ["wavenumber=0"], "positive wavenumber"),
     ], ids=["wavetrain-cfl", "wavetrain-T", "absorption-steps", "convergence-cfl", "validation-nt",
-            "validation-nt-ingoing"])
+            "validation-nt-ingoing", "wavetrain-wavenumber"])
     def test_zero_length_runs_are_config_errors(self, tmp_path, capsys, config, overrides, reason):
         # no step count can be derived: rejected up front with the reason, not with a
         # traceback or a later failure that names something else
@@ -387,9 +387,14 @@ FLAG_CASES = [c for c in MISTYPED_KEYS if _scenario_of(c[0]) in INSPECTORS] + [
 ]
 
 
-def _subparser(name: str) -> argparse.ArgumentParser:
-    actions = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    return actions[0].choices[name]
+def _flags(cfg: dict) -> list[str]:
+    """cfg's keys but scenario as space-separated --KEY VALUE flags, dashes for underscores."""
+    return [x for key, value in cfg.items() if key != "scenario"
+            for x in ("--" + key.replace("_", "-"), json.dumps(value))]
+
+
+def _tree(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))}
 
 
 class TestInspectionFlags:
@@ -397,15 +402,48 @@ class TestInspectionFlags:
     scenario, parsed and checked like a config value."""
 
     @pytest.mark.parametrize("name", sorted(INSPECTORS))
-    def test_flags_are_the_scenario_keys_plus_output(self, name):
-        flags = {opt: a.dest for a in _subparser(name)._actions for opt in a.option_strings
-                 if opt not in ("-h", "--help")}
-        expect = {"--" + key.replace("_", "-"): key for key in SCENARIOS[name].defaults}
-        assert flags == {**expect, "--output": "output"}
+    def test_every_key_of_the_defaults_table_is_a_flag(self, tmp_path, name):
+        # each key spelled with dashes and given its default runs the defaults, like no flag at all
+        for out, flags in (("spelled", _flags(SCENARIOS[name].defaults)), ("omitted", [])):
+            assert main([name, *flags, "--output", str(tmp_path / out)]) == 0
+        assert _tree(tmp_path / "spelled") == _tree(tmp_path / "omitted")
 
-    def test_run_keeps_config_override_and_output(self):
-        flags = {opt for a in _subparser("run")._actions for opt in a.option_strings}
-        assert flags == {"-h", "--help", "--config", "--override", "--output"}
+    @pytest.mark.parametrize("name", ["M", "scenario", "o", "configs", "output-dir"])
+    def test_run_takes_config_override_and_output_only(self, tmp_path, capsys, name):
+        argv = ["run", "--config", str(CONFIG_DIR / "rule_example.cfg"), f"--{name}", "3"]
+        assert main(argv + ["--output", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: unknown option --{name};")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("config", sorted(p.stem for p in CONFIG_DIR.glob("*.cfg")
+                                              if _scenario_of(p.stem) in INSPECTORS))
+    def test_flags_and_run_write_the_same_files(self, tmp_path, config):
+        cfg = parse_config_file(CONFIG_DIR / f"{config}.cfg")
+        assert main(["run", "--config", str(CONFIG_DIR / f"{config}.cfg"), "--output", str(tmp_path / "run")]) == 0
+        assert main([cfg["scenario"], *_flags(cfg), "--output", str(tmp_path / "flags")]) == 0
+        assert _tree(tmp_path / "run") == _tree(tmp_path / "flags")
+
+    def test_a_dash_led_value_reads_alike_spaced_or_joined(self, tmp_path):
+        for out, u in (("spaced", ["--u", "-1"]), ("joined", ["--u=-1"])):
+            assert main(["spectrum", "--direction", "outflow", *u, "--M", "5", "--output", str(tmp_path / out)]) == 0
+        assert _tree(tmp_path / "spaced") == _tree(tmp_path / "joined")
+
+    def test_the_last_value_of_a_name_wins(self, tmp_path):
+        argv = ["rule", "--M", "2", "--output", str(tmp_path / "a"), "--M=3", "--output", str(tmp_path / "b")]
+        assert main(argv) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b"]
+        assert len((tmp_path / "b" / "rule.csv").read_text().splitlines()) == 1 + 4
+
+    @pytest.mark.parametrize("command", ["run", *sorted(INSPECTORS)])
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_prints_the_usage_and_returns_0(self, tmp_path, capsys, monkeypatch, command, flag):
+        monkeypatch.chdir(tmp_path)
+        assert main([command, flag]) == 0
+        out = capsys.readouterr().out
+        assert "lagdg run --config FILE" in out
+        if command in INSPECTORS:
+            assert f"defaults {json.dumps(SCENARIOS[command].defaults)}" in out
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("config, key, value", FLAG_CASES)
     def test_flag_and_override_spellings_fail_alike(self, tmp_path, capsys, config, key, value):
@@ -431,15 +469,19 @@ class TestInspectionFlags:
 
     @pytest.mark.parametrize("argv, message", [
         (["spectrum", "--bogus", "1"], "unknown keys for scenario 'spectrum': ['bogus']"),
-        (["spectrum", "--u", "-Infinity"], "argument --u: expected one argument; give a value that begins "
-                                           "with '-' as --u=-Infinity"),
+        (["spectrum", "--u", "-Infinity"], "key 'u' of scenario 'spectrum' must be finite"),
         (["spectrum", "--u=-Infinity"], "key 'u' of scenario 'spectrum' must be finite"),
-        (["run", "--config", str(CONFIG_DIR / "rule_example.cfg"), "--bogus"], "unrecognized arguments: --bogus"),
-        (["run"], "the following arguments are required: --config"),
-        (["run", "--config", str(CONFIG_DIR / "rule_example.cfg"), "--o", "x"], "ambiguous option: --o could match"),
-    ], ids=["unknown-flag", "dash-value", "dash-value-joined", "run-unknown-flag", "run-no-config", "run-ambiguous"])
+        (["run", "--config", str(CONFIG_DIR / "rule_example.cfg"), "--bogus"], "unknown option --bogus;"),
+        (["run"], "run needs --config FILE"),
+        (["run", "--config", str(CONFIG_DIR / "rule_example.cfg"), "--o", "x"], "unknown option --o;"),
+        (["spectrum", "--M"], "option --M takes a value"),
+        (["spectrum", "M", "3"], "expected an option --NAME, got 'M'"),
+        (["spectra", "--M", "3"], "unknown command 'spectra'"),
+    ], ids=["unknown-flag", "dash-value", "dash-value-joined", "run-unknown-flag", "run-no-config", "run-ambiguous",
+            "name-without-value", "bare-word", "unknown-command"])
     def test_argument_errors_are_config_errors(self, tmp_path, capsys, argv, message):
-        assert main(argv + ["--output", str(tmp_path / "o")]) == 2
+        # --output goes right after the command word, so a name can come last
+        assert main(argv[:1] + ["--output", str(tmp_path / "o")] + argv[1:]) == 2
         assert capsys.readouterr().err.startswith(f"configuration error: {message}")
         assert not (tmp_path / "o").exists()
 

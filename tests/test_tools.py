@@ -76,6 +76,14 @@ def test_run_set_runs_every_shipped_config():
     assert shipped <= named | globbed, f"run_set.sh skips {sorted(shipped - named - globbed)}"
 
 
+def test_run_set_calls_every_inspection_command():
+    # the flag spelling of the command line is compared byte for byte too
+    from lagdg.cli import INSPECTORS
+
+    script = (Path(__file__).resolve().parents[1] / "tools" / "run_set.sh").read_text()
+    assert set(re.findall(r"^inspect \w+ (\w+) ", script, re.M)) == set(INSPECTORS)
+
+
 _pairs_spec = importlib.util.spec_from_file_location(
     "bench_pairs", Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py")
 bench_pairs = importlib.util.module_from_spec(_pairs_spec)

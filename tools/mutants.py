@@ -63,6 +63,9 @@ _ENERGY = "tests/test_dg_energy.py::test_energy_rate_is_the_face_dissipation_plu
 _FLAGS = "tests/test_cli.py::TestInspectionFlags::test_flag_and_override_spellings_fail_alike"
 _MISTYPED = "tests/test_cli.py::TestCliCommands::test_mistyped_scalar_keys_are_config_errors"
 _EVERY_KEY = "tests/test_cli.py::test_every_key_resolves_to_its_defaults_type"
+_ZERO_LENGTH = "tests/test_cli.py::TestCliCommands::test_zero_length_runs_are_config_errors"
+_CLI = "src/lagdg/cli.py"
+_INSPECT = "tests/test_cli.py::TestInspectionFlags"
 
 MUTANTS = (
     # the undamped structured apply of LaguerreModalOperator.rhs
@@ -177,7 +180,7 @@ MUTANTS = (
            ("tests/test_diagnostics.py::TestErrorNorms::test_relative_homogeneity",)),
     Mutant("rr-no-sqrt", _DIAG, "np.sqrt(e_en / e_en_wall)", "e_en / e_en_wall",
            ("tests/test_diagnostics.py::TestReflectionRatio::test_ratio_of_energies_is_square_rooted",)),
-    Mutant("cli-numerical-exit-2", "src/lagdg/cli.py", "EXIT_NUMERICAL = 3", "EXIT_NUMERICAL = 2",
+    Mutant("cli-numerical-exit-2", _CLI, "EXIT_NUMERICAL = 3", "EXIT_NUMERICAL = 2",
            ("tests/test_cli.py::TestCliCommands::test_non_finite_operator_is_a_numerical_failure",
             "tests/test_cli.py::TestCliCommands::test_numerical_failure_exit_code")),
     # every input passes resolve_config, which checks and types each value like its default
@@ -198,6 +201,23 @@ MUTANTS = (
            ("tests/test_cli.py::TestCliCommands::test_non_finite_numbers_are_config_errors[huge-int]",
             "tests/test_cli.py::TestCliCommands::test_non_finite_numbers_are_config_errors[huge-float]",
             "tests/test_cli.py::TestCliCommands::test_non_finite_numbers_are_config_errors[huge-row]")),
+    Mutant("wavenumber-unchecked", _SCEN, 'if not cfg["wavenumber"] > 0:', "if False:",
+           (f"{_ZERO_LENGTH}[wavetrain-wavenumber]",)),
+    # the command-line reader: --NAME VALUE pairs, a --NAME always a name, the last value winning
+    Mutant("option-dashes-kept", _CLI, 'name.replace("-", "_")', "name",
+           (f"{_INSPECT}::test_every_key_of_the_defaults_table_is_a_flag[operator]",
+            "tests/test_cli.py::TestCliCommands::test_operator_writes_matrix_and_forcing")),
+    Mutant("dash-led-value-read-as-name", _CLI, 'args[i + 1].startswith("--")', 'args[i + 1].startswith("-")',
+           (f"{_INSPECT}::test_argument_errors_are_config_errors[dash-value]",
+            f"{_INSPECT}::test_a_dash_led_value_reads_alike_spaced_or_joined")),
+    Mutant("last-value-unchecked", _CLI, "if i + 1 == len(args) or args", "if args",
+           (f"{_INSPECT}::test_argument_errors_are_config_errors[name-without-value]",)),
+    Mutant("first-output-wins", _CLI, "given = dict(options)", "given = dict(reversed(options))",
+           (f"{_INSPECT}::test_the_last_value_of_a_name_wins",)),
+    Mutant("run-takes-any-name", _CLI, 'names = ("config", "override", "output") if command == "run" else None',
+           "names = None",
+           (f"{_INSPECT}::test_run_takes_config_override_and_output_only",
+            f"{_INSPECT}::test_argument_errors_are_config_errors[run-ambiguous]")),
     # known survivor: no shipped table can see the isotropic layer
     Mutant("dgamma-ignored", "src/lagdg/scenarios.py", 'SigmoidDamping(cfg["dgamma"],', "SigmoidDamping(0.0,",
            ("tests/test_scenarios.py::TestCoupledScenariosSmall",),

@@ -11,9 +11,10 @@
 # exits 1 when file sets or non-numeric cells differ, or a column moves by
 # more than 1e-10 of its scale.
 #
-# Every shipped config is run.  coupling_validation runs 200 steps each way
-# and both wavetrain configs run to T = 100 s, so the set takes well under
-# a minute; all three write snapshots.
+# Every shipped config is run, and each inspection command once as
+# flags.  coupling_validation runs 200 steps each way and both wavetrain
+# configs run to T = 100 s, so the set takes well under a minute; all
+# three write snapshots.
 # The checkout's own src/ is used, with BLAS threads pinned to 1.
 # For speed, tools/bench_pairs.py PARENT CHANGE --workload W [--pairs N]
 # [--first-seed F] runs the benchmark in both checkouts in alternating pairs
@@ -38,6 +39,13 @@ run() {
     python3 -m lagdg.cli run --config "$root/configs/$name.cfg" --output "$out/$name" "$@" >/dev/null
 }
 
+# an inspection command given as flags, written to $out/NAME
+inspect() {
+    name=$1
+    shift
+    python3 -m lagdg.cli "$@" --output "$out/$name" >/dev/null
+}
+
 run absorption_main
 run absorption_beta_sweep
 run convergence_dg
@@ -50,3 +58,8 @@ for cfg in "$root"/configs/spectrum_*.cfg; do
 done
 run operator_example
 run rule_example
+inspect spectrum_flags spectrum --form strong --basis functions --nodes glr --direction outflow \
+    --beta 0.5 --M 25 --u -2
+inspect rule_flags rule --nodes gl --basis polynomials --beta 2 --M 12
+inspect operator_flags operator --form modal --basis functions --direction outflow --beta 1.0 --M 10 \
+    --u -1 --q-left 1.0
